@@ -43,15 +43,20 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: once inlined, gcc pairs the malloc/free inside with
+// the new/delete expressions at the call sites and warns about
+// mismatched allocation functions.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
   throw std::bad_alloc{};
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 // [memo-key-end]
 
 namespace {
@@ -580,6 +585,91 @@ void report_memo_key(bench::JsonWriter* json) {
 }
 // [memo-key-end]
 
+// [traversal-begin]
+/// The DAG traversals that run on the manager's reusable scratch: ns/op
+/// and scratch allocations per op for size, support, sat_count and
+/// serialize_bdd over a warm pool of random functions.  support() and
+/// serialize_bdd() return one exactly-sized buffer per non-constant
+/// root; every allocation beyond those is scratch, and a warm traversal
+/// must make none (the *_allocs fields are exact-zero acceptance fields).
+void report_traversal(bench::JsonWriter* json) {
+  constexpr std::uint32_t kVars = 20;
+  BddManager mgr{kVars, 16};
+  std::mt19937 rng{73};
+  constexpr std::size_t kPool = 64;
+  std::vector<Bdd> pool;
+  pool.reserve(kPool);
+  std::uint64_t result_buffers = 0;  // one per non-constant root
+  std::size_t nodes = 0;
+  for (std::size_t i = 0; i < kPool; ++i) {
+    pool.push_back(random_function(mgr, rng, kVars, 4));
+    result_buffers += pool.back().is_constant() ? 0 : 1;
+    nodes += pool.back().size();  // also warms the scratch
+  }
+  constexpr std::uint64_t kRounds = 1000;
+  const std::uint64_t ops = kRounds * kPool;
+  struct Row {
+    const char* name;
+    double ns_per_op;
+    double allocs_per_op;
+  };
+  std::uint64_t sink = 0;
+  const auto measure_op = [&](const char* name, std::uint64_t results_per_op,
+                              const auto& op) {
+    for (const Bdd& f : pool) {  // warm-up: grow the scratch once
+      op(f);
+    }
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      for (const Bdd& f : pool) {
+        op(f);
+      }
+    }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    const std::uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_before -
+        results_per_op * kRounds;
+    return Row{name, ns / static_cast<double>(ops),
+               static_cast<double>(allocs) / static_cast<double>(ops)};
+  };
+  const Row rows[] = {
+      measure_op("size", 0, [&](const Bdd& f) { sink += f.size(); }),
+      measure_op("support", result_buffers,
+                 [&](const Bdd& f) { sink += f.support().size(); }),
+      measure_op("sat_count", 0,
+                 [&](const Bdd& f) {
+                   sink += static_cast<std::uint64_t>(
+                       mgr.sat_count(f, kVars) > 0.0);
+                 }),
+      measure_op("serialize", result_buffers,
+                 [&](const Bdd& f) {
+                   sink += mgr.serialize_bdd(f).nodes.size();
+                 }),
+  };
+  std::printf("\ntraversal (%zu roots, %zu nodes in all, scratch reused):\n",
+              kPool, nodes);
+  for (const Row& row : rows) {
+    std::printf("  %-10s %10.1f ns/op   %.3f scratch allocs/op (must be 0)\n",
+                row.name, row.ns_per_op, row.allocs_per_op);
+  }
+  std::printf("  (sink %llu)\n", static_cast<unsigned long long>(sink));
+  if (json != nullptr) {
+    json->begin_object("traversal");
+    json->field_int("roots", kPool);
+    json->field_int("nodes", nodes);
+    for (const Row& row : rows) {
+      json->field_num(std::string(row.name) + "_ns", row.ns_per_op);
+      json->field_num(std::string(row.name) + "_allocs", row.allocs_per_op);
+    }
+    json->end_object();
+  }
+}
+// [traversal-end]
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -623,6 +713,10 @@ int main(int argc, char** argv) {
   // [memo-key-begin]
   report_memo_key(&json);
   // [memo-key-end]
+  // [traversal-begin]
+  report_traversal(&json);
+  // [traversal-end]
+  brel::bench::write_authoring_host(json);
   json.end_object();
 
   if (!json_path.empty()) {

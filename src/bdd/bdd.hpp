@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bdd/bdd_hash.hpp"
+#include "bdd/stamped_map.hpp"
 #include "cover/cover.hpp"
 #include "cover/cube.hpp"
 
@@ -118,10 +119,13 @@ class Bdd {
   /// Positive/negative cofactor with respect to variable `var`.
   [[nodiscard]] Bdd cofactor(std::uint32_t var, bool phase) const;
 
-  /// Number of nodes in the DAG rooted here (terminal included).
+  /// Number of nodes in the DAG rooted here (terminal included).  Walks
+  /// through the manager's traversal scratch, so — like every manager
+  /// operation — only the manager's owning thread may call it.
   [[nodiscard]] std::size_t size() const;
 
-  /// Support as a sorted list of variable indices.
+  /// Support as a sorted list of variable indices (same thread contract
+  /// as size()).
   [[nodiscard]] std::vector<std::uint32_t> support() const;
 
   /// Evaluate under a complete assignment (assignment[i] = variable i).
@@ -178,8 +182,10 @@ enum class BddOp : std::uint32_t {
   AndExists,
   Constrain,
   Restrict,
+  /// Caller-level ISF minimization memo (BddManager::minimize_memo_*).
+  Minimize,
 };
-inline constexpr std::size_t kBddOpCount = 9;
+inline constexpr std::size_t kBddOpCount = 10;
 /// Short stable name of an op tag ("and", "ite", ...).
 [[nodiscard]] const char* bdd_op_name(BddOp op) noexcept;
 
@@ -282,6 +288,17 @@ class BddManager {
   /// Number of minterms of f over `num_vars_total` variables.  Exact while
   /// num_vars_total <= 52 (dyadic rationals representable in double).
   [[nodiscard]] double sat_count(const Bdd& f, std::uint32_t num_vars_total);
+
+  /// Memo of a caller-level operator — IsfMinimizer::minimize — kept in
+  /// the computed table under BddOp::Minimize: the key is (on, dc, tag),
+  /// where `tag` encodes the caller's settings, and the value is the
+  /// result edge.  Entries die with the table (GC, sifting,
+  /// reset_variables), so a hit is exactly the edge recomputing would
+  /// return.  The lookup returns a null handle on a miss.
+  [[nodiscard]] Bdd minimize_memo_lookup(const Bdd& on, const Bdd& dc,
+                                         std::uint32_t tag);
+  void minimize_memo_insert(const Bdd& on, const Bdd& dc, std::uint32_t tag,
+                            const Bdd& result);
 
   /// A cube of f with the fewest literals (the "largest cube"; the paper's
   /// split-vertex selection uses this, Sec. 7.4).  Requires f != 0.
@@ -416,8 +433,9 @@ class BddManager {
   /// expressed under the IDENTITY (var-index) order, whatever this
   /// manager's current order is — that is what keeps `.bdd` bodies, memo
   /// keys and cross-manager hand-offs order-independent.  Re-expressing a
-  /// reordered DAG builds scratch nodes here (hence non-const); with the
-  /// identity order it is a pure read.
+  /// reordered DAG builds scratch nodes here; with the identity order it
+  /// reads the DAG but walks it through the manager's traversal scratch.
+  /// Either way it writes manager state: owning thread only.
   [[nodiscard]] SerializedBdd serialize_bdd(const Bdd& f);
   /// Rebuild a serialized BDD here, shifting every variable index by
   /// `var_offset` (shifts preserve the relative order, so the result stays
@@ -575,6 +593,9 @@ class BddManager {
                                               detail::Edge c) noexcept;
 
   // -- computed cache ------------------------------------------------------
+  /// Packed key and 2-way set of (op, a, b, c), without probing.
+  [[nodiscard]] CacheProbe cache_probe(Op op, detail::Edge a, detail::Edge b,
+                                       detail::Edge c) const noexcept;
   /// Probe the 2-way set for (op, a, b, c).  On a miss, `probe` carries the
   /// packed key and slot to the matching cache_insert so the hash is
   /// computed once per lookup/insert pair.
@@ -634,6 +655,12 @@ class BddManager {
   [[nodiscard]] std::size_t live_nodes() const noexcept {
     return nodes_.size() - 1 - free_count_;
   }
+
+  // -- traversal scratch (bdd_analysis.cpp) ---------------------------------
+  /// Call visit(idx) once per node index of the DAG under `root`,
+  /// terminal included, marking through trav_map_ (cleared first).
+  template <typename Visit>
+  void for_each_dag_node(detail::Edge root, Visit&& visit);
 
   // -- canonical-hash internals (bdd_hash.cpp) ------------------------------
   /// Stamp out every cached canonical hash (and the min-support-var
@@ -721,8 +748,16 @@ class BddManager {
   /// Min support var per regular node index (the reordered walk's peel
   /// variable); function-determined, cleared with the hash cache.
   std::unordered_map<std::uint32_t, std::uint32_t> chash_minvar_;
-  /// Scratch memo for compose() (cleared per call, never reallocated).
-  std::unordered_map<detail::Edge, detail::Edge> compose_memo_;
+  // Traversal scratch of size(), support(), sat_count(), shortest_cube(),
+  // compose() and serialize_bdd's identity path, reused across calls so a
+  // warm walk allocates nothing.  Every buffer grows with the largest DAG
+  // (or the variable count) walked, never with the node store: per-node
+  // arrays would cost a slot per node ever allocated in long-lived
+  // managers.
+  detail::StampedMap trav_map_;              ///< visited set / node memo
+  std::vector<std::uint32_t> trav_stack_;    ///< DFS stack
+  std::vector<std::uint64_t> trav_var_bits_; ///< support(): bit per variable
+  std::vector<std::uint32_t> trav_words_;    ///< serialize_bdd node records
   /// Per-manager statistics — including the per-op cache counters bumped
   /// on kernel hot paths — are written without synchronization, which is
   /// sound because the whole manager is single-threaded (enforced in

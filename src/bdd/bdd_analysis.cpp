@@ -1,8 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "bdd/bdd.hpp"
 
@@ -16,22 +15,32 @@ using detail::edge_regular;
 using detail::kOne;
 using detail::kZero;
 
+template <typename Visit>
+void BddManager::for_each_dag_node(Edge root, Visit&& visit) {
+  assert_owning_thread();  // the walk writes the traversal scratch
+  trav_map_.clear();
+  trav_stack_.clear();
+  trav_stack_.push_back(edge_index(root));
+  while (!trav_stack_.empty()) {
+    const std::uint32_t idx = trav_stack_.back();
+    trav_stack_.pop_back();
+    if (!trav_map_.insert(idx, 0)) {
+      continue;
+    }
+    visit(idx);
+    if (idx != 0) {
+      trav_stack_.push_back(edge_index(nodes_[idx].hi));
+      trav_stack_.push_back(edge_index(nodes_[idx].lo));
+    }
+  }
+}
+
 std::size_t Bdd::size() const {
   if (manager_ == nullptr) {
     return 0;
   }
-  std::unordered_set<std::uint32_t> visited;
-  std::vector<std::uint32_t> stack{edge_index(edge_)};
-  while (!stack.empty()) {
-    const std::uint32_t idx = stack.back();
-    stack.pop_back();
-    if (!visited.insert(idx).second || idx == 0) {
-      continue;
-    }
-    stack.push_back(edge_index(manager_->nodes_[idx].hi));
-    stack.push_back(edge_index(manager_->nodes_[idx].lo));
-  }
-  return visited.size();
+  manager_->for_each_dag_node(edge_, [](std::uint32_t) {});
+  return manager_->trav_map_.size();
 }
 
 std::vector<std::uint32_t> Bdd::support() const {
@@ -39,21 +48,28 @@ std::vector<std::uint32_t> Bdd::support() const {
   if (manager_ == nullptr) {
     return vars;
   }
-  std::unordered_set<std::uint32_t> visited;
-  std::unordered_set<std::uint32_t> seen_vars;
-  std::vector<std::uint32_t> stack{edge_index(edge_)};
-  while (!stack.empty()) {
-    const std::uint32_t idx = stack.back();
-    stack.pop_back();
-    if (idx == 0 || !visited.insert(idx).second) {
-      continue;
+  // One bit per variable: scanning the words in order yields the support
+  // already sorted, and its popcount sizes the result exactly.
+  BddManager& mgr = *manager_;
+  std::vector<std::uint64_t>& bits = mgr.trav_var_bits_;
+  bits.assign((std::size_t{mgr.num_vars_} + 63) / 64, 0);
+  mgr.for_each_dag_node(edge_, [&mgr, &bits](std::uint32_t idx) {
+    if (idx != 0) {
+      const std::uint32_t v = mgr.nodes_[idx].var;
+      bits[v >> 6] |= std::uint64_t{1} << (v & 63);
     }
-    seen_vars.insert(manager_->nodes_[idx].var);
-    stack.push_back(edge_index(manager_->nodes_[idx].hi));
-    stack.push_back(edge_index(manager_->nodes_[idx].lo));
+  });
+  std::size_t count = 0;
+  for (const std::uint64_t word : bits) {
+    count += static_cast<std::size_t>(std::popcount(word));
   }
-  vars.assign(seen_vars.begin(), seen_vars.end());
-  std::sort(vars.begin(), vars.end());
+  vars.reserve(count);
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      vars.push_back(static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+    }
+  }
   return vars;
 }
 
@@ -76,21 +92,23 @@ double BddManager::sat_count(const Bdd& f, std::uint32_t num_vars_total) {
   if (f.manager() != this) {
     throw std::invalid_argument("sat_count: operand from a different manager");
   }
+  assert_owning_thread();  // the memo lives in the traversal scratch
   // Compute the satisfying fraction p(e) in [0,1]; every value is a dyadic
-  // rational with denominator 2^depth, exact in double up to 2^-52.
-  std::unordered_map<std::uint32_t, double> memo;  // on regular node index
-  auto rec = [this, &memo](auto&& self, Edge e) -> double {
+  // rational with denominator 2^depth, exact in double up to 2^-52.  The
+  // memo is keyed on the regular node index and stores the double's bits.
+  trav_map_.clear();
+  auto rec = [this](auto&& self, Edge e) -> double {
     const bool negated = detail::edge_complemented(e);
     const std::uint32_t idx = edge_index(e);
     double p = 0.0;
     if (idx == 0) {
       p = 1.0;  // regular edge to the terminal is ONE
-    } else if (const auto it = memo.find(idx); it != memo.end()) {
-      p = it->second;
+    } else if (const std::uint64_t* memo = trav_map_.find(idx)) {
+      p = std::bit_cast<double>(*memo);
     } else {
       const Node& n = nodes_[idx];
       p = 0.5 * self(self, n.hi) + 0.5 * self(self, n.lo);
-      memo.emplace(idx, p);
+      trav_map_.insert(idx, std::bit_cast<std::uint64_t>(p));
     }
     return negated ? 1.0 - p : p;
   };
@@ -117,16 +135,17 @@ Cube BddManager::shortest_cube(const Bdd& f) {
   // exact version below finds a genuinely largest cube, which serves the
   // same split-selection role.
   constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
-  std::unordered_map<Edge, std::size_t> memo;
-  auto cost = [this, &memo](auto&& self, Edge e) -> std::size_t {
+  assert_owning_thread();  // the memo (on edges) lives in the scratch
+  trav_map_.clear();
+  auto cost = [this](auto&& self, Edge e) -> std::size_t {
     if (e == kOne) {
       return 0;
     }
     if (e == kZero) {
       return kInf;
     }
-    if (const auto it = memo.find(e); it != memo.end()) {
-      return it->second;
+    if (const std::uint64_t* memo = trav_map_.find(e)) {
+      return *memo;
     }
     const Edge hi = hi_of(e);
     const Edge lo = lo_of(e);
@@ -136,7 +155,7 @@ Cube BddManager::shortest_cube(const Bdd& f) {
     std::size_t best = cboth;  // skipping v costs no literal
     best = std::min(best, chi == kInf ? kInf : chi + 1);
     best = std::min(best, clo == kInf ? kInf : clo + 1);
-    memo.emplace(e, best);
+    trav_map_.insert(e, best);
     return best;
   };
   (void)cost(cost, f.raw_edge());
@@ -156,7 +175,11 @@ Cube BddManager::shortest_cube(const Bdd& f) {
       if (x == kZero) {
         return kInf;
       }
-      return memo.at(x);
+      const std::uint64_t* memo = trav_map_.find(x);
+      if (memo == nullptr) {
+        throw std::logic_error("shortest_cube: reconstruction left the memo");
+      }
+      return *memo;
     };
     const std::size_t goal = lookup(e);
     if (lookup(both) == goal) {

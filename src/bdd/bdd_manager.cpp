@@ -370,6 +370,8 @@ const char* bdd_op_name(BddOp op) noexcept {
       return "constrain";
     case BddOp::Restrict:
       return "restrict";
+    case BddOp::Minimize:
+      return "minimize";
   }
   return "?";
 }
@@ -384,15 +386,22 @@ std::uint64_t BddManager::hash_key(std::uint64_t key_ab, Edge c) noexcept {
   return h;
 }
 
+BddManager::CacheProbe BddManager::cache_probe(Op op, Edge a, Edge b,
+                                               Edge c) const noexcept {
+  CacheProbe probe;
+  probe.key_ab = (std::uint64_t{static_cast<std::uint32_t>(op)} << 60) |
+                 (std::uint64_t{a} << 30) | b;
+  probe.c = c;
+  probe.slot = (hash_key(probe.key_ab, c) & cache_mask_) << 1;
+  return probe;
+}
+
 bool BddManager::cache_lookup(Op op, Edge a, Edge b, Edge c, Edge& out,
                               CacheProbe& probe) {
   assert_owning_thread();  // per-op stats and MRU promotion both write
   const auto op_idx = static_cast<std::size_t>(op);
   ++stats_.op_lookups[op_idx];  // aggregates are folded on stats() read
-  probe.key_ab = (std::uint64_t{static_cast<std::uint32_t>(op)} << 60) |
-                 (std::uint64_t{a} << 30) | b;
-  probe.c = c;
-  probe.slot = (hash_key(probe.key_ab, c) & cache_mask_) << 1;
+  probe = cache_probe(op, a, b, c);
   CacheEntry& primary = cache_[probe.slot];
   if (primary.key_ab == probe.key_ab && primary.c == c) {
     ++stats_.op_hits[op_idx];
@@ -415,6 +424,31 @@ void BddManager::cache_insert(const CacheProbe& probe, Edge result) {
     cache_[probe.slot + 1] = primary;  // demote; the LRU way is evicted
   }
   primary = CacheEntry{probe.key_ab, probe.c, result};
+}
+
+Bdd BddManager::minimize_memo_lookup(const Bdd& on, const Bdd& dc,
+                                     std::uint32_t tag) {
+  if (on.manager() != this || dc.manager() != this) {
+    throw std::invalid_argument("minimize_memo_lookup: foreign or null handle");
+  }
+  Edge result = kOne;
+  CacheProbe probe;
+  if (cache_lookup(Op::Minimize, on.raw_edge(), dc.raw_edge(), tag, result,
+                   probe)) {
+    return wrap(result);
+  }
+  return Bdd{};
+}
+
+void BddManager::minimize_memo_insert(const Bdd& on, const Bdd& dc,
+                                      std::uint32_t tag, const Bdd& result) {
+  if (on.manager() != this || dc.manager() != this ||
+      result.manager() != this) {
+    throw std::invalid_argument("minimize_memo_insert: foreign or null handle");
+  }
+  assert_owning_thread();
+  cache_insert(cache_probe(Op::Minimize, on.raw_edge(), dc.raw_edge(), tag),
+               result.raw_edge());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 #include <stdexcept>
-#include <unordered_map>
 
 #include "bdd/bdd.hpp"
 
@@ -142,27 +141,25 @@ Bdd BddManager::compose(const Bdd& f, std::span<const Bdd> substitution) {
           "compose: substitution entry from a different manager");
     }
   }
-  // Per-call memo: the substitution vector is not a cacheable key.  The
-  // map itself is manager-owned scratch — clear() keeps the bucket array,
-  // so after the first calls the table is reserved at the largest operand
-  // DAG size seen and the hot loop never rehashes or reallocates.
-  // (Computing the exact DAG size up front would cost its own traversal.)
-  std::unordered_map<Edge, Edge>& memo = compose_memo_;
-  memo.clear();
+  // Per-call memo on edges: the substitution vector is not a cacheable
+  // key.  It lives in the manager's traversal scratch (ite_rec never
+  // touches it), so a warm compose allocates no memo storage.
+  assert_owning_thread();
+  trav_map_.clear();
   // Keep intermediates alive: compose builds with ite over already-built
   // subresults; nothing triggers GC meanwhile (GC is explicit).
   auto rec = [&](auto&& self, Edge e) -> Edge {
     if (edge_is_constant(e)) {
       return e;
     }
-    if (const auto it = memo.find(e); it != memo.end()) {
-      return it->second;
+    if (const std::uint64_t* memo = trav_map_.find(e)) {
+      return static_cast<Edge>(*memo);
     }
     const std::uint32_t v = node_var(e);
     const Edge t = self(self, hi_of(e));
     const Edge el = self(self, lo_of(e));
     const Edge result = ite_rec(substitution[v].raw_edge(), t, el);
-    memo.emplace(e, result);
+    trav_map_.insert(e, result);
     return result;
   };
   return wrap(rec(rec, f.raw_edge()));

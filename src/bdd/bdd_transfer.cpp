@@ -34,47 +34,61 @@ SerializedBdd BddManager::serialize_bdd(const Bdd& f) {
     out.root = f.raw_edge();  // kOne/kZero use the same encoding
     return out;
   }
+  assert_owning_thread();  // both paths write manager scratch
   if (order_is_identity_) {
     // Fast path: with var == level the in-store DAG *is* the canonical
     // var-ordered form.  Child-before-parent ids via an explicit
     // post-order walk over node indices (complement bits live on edges,
     // not nodes, so each node is visited once regardless of how it is
-    // referenced).
-    std::unordered_map<std::uint32_t, std::uint32_t> id;  // node idx -> id
-    id.emplace(0u, 0u);                                   // the ONE terminal
-    std::vector<std::uint32_t> stack{edge_index(f.raw_edge())};
-    const auto serialized_edge = [&](Edge e) {
-      return (id.at(edge_index(e)) << 1) | (edge_complemented(e) ? 1u : 0u);
+    // referenced).  The walk runs on the traversal scratch — trav_map_
+    // maps node idx -> id, trav_words_ collects (var, hi, lo) records —
+    // so the only allocation is the result's node list, sized exactly.
+    detail::StampedMap& id = trav_map_;
+    std::vector<std::uint32_t>& stack = trav_stack_;
+    std::vector<std::uint32_t>& records = trav_words_;
+    id.clear();
+    stack.clear();
+    records.clear();
+    id.insert(0u, 0u);  // the ONE terminal
+    stack.push_back(edge_index(f.raw_edge()));
+    const auto serialized_edge = [](Edge e, std::uint64_t child_id) {
+      return static_cast<std::uint32_t>(child_id << 1) |
+             (edge_complemented(e) ? 1u : 0u);
     };
     while (!stack.empty()) {
       const std::uint32_t idx = stack.back();
-      if (id.count(idx) != 0) {
+      if (id.find(idx) != nullptr) {
         stack.pop_back();
         continue;
       }
       const Node& n = nodes_[idx];
-      const std::uint32_t hi_idx = edge_index(n.hi);
-      const std::uint32_t lo_idx = edge_index(n.lo);
-      const bool hi_done = id.count(hi_idx) != 0;
-      const bool lo_done = id.count(lo_idx) != 0;
-      if (hi_done && lo_done) {
+      const std::uint64_t* hi_id = id.find(edge_index(n.hi));
+      const std::uint64_t* lo_id = id.find(edge_index(n.lo));
+      if (hi_id != nullptr && lo_id != nullptr) {
+        records.push_back(n.var);
+        records.push_back(serialized_edge(n.hi, *hi_id));
+        records.push_back(serialized_edge(n.lo, *lo_id));
         stack.pop_back();
-        id.emplace(idx, static_cast<std::uint32_t>(out.nodes.size()) + 1);
-        out.nodes.push_back(SerializedBdd::Node{
-            n.var, serialized_edge(n.hi), serialized_edge(n.lo)});
+        id.insert(idx, records.size() / 3);
         if (n.var + 1 > out.num_vars) {
           out.num_vars = n.var + 1;
         }
         continue;
       }
-      if (!hi_done) {
-        stack.push_back(hi_idx);
+      if (hi_id == nullptr) {
+        stack.push_back(edge_index(n.hi));
       }
-      if (!lo_done) {
-        stack.push_back(lo_idx);
+      if (lo_id == nullptr) {
+        stack.push_back(edge_index(n.lo));
       }
     }
-    out.root = serialized_edge(f.raw_edge());
+    out.nodes.resize(records.size() / 3);
+    for (std::size_t k = 0; k < out.nodes.size(); ++k) {
+      out.nodes[k] = SerializedBdd::Node{records[3 * k], records[3 * k + 1],
+                                         records[3 * k + 2]};
+    }
+    out.root = serialized_edge(f.raw_edge(),
+                               *id.find(edge_index(f.raw_edge())));
     return out;
   }
 

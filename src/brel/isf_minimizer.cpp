@@ -1,26 +1,26 @@
 #include "brel/isf_minimizer.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace brel {
 
 namespace {
 
-/// Greedy top-to-bottom support reduction (Sec. 7.5): for each variable in
-/// BDD order, drop it when the tightened interval stays non-empty.
+/// Greedy support reduction (Sec. 7.5): for each variable in ascending
+/// variable-id order, drop it when the tightened interval stays
+/// non-empty.  The walk is by id, not by the manager's current level
+/// order, on purpose: it keeps the reduced interval independent of
+/// dynamic reordering (a level walk would eliminate a different set).
 Isf eliminate_nonessential_vars(const Isf& isf) {
   Isf current = isf;
-  // Candidate variables: the support of the interval bounds.
-  const Bdd window = current.on() | current.dc();
-  std::vector<std::uint32_t> vars = window.support();
-  const std::vector<std::uint32_t> off_support = current.off().support();
-  vars.insert(vars.end(), off_support.begin(), off_support.end());
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  // Candidate variables: the support of the interval bounds (OFF is the
+  // complement of ON ∪ DC, so it adds none).
+  const std::vector<std::uint32_t> vars = current.max().support();
   for (const std::uint32_t var : vars) {
-    if (current.can_eliminate_var(var)) {
-      current = current.eliminate_var(var);
+    if (std::optional<Isf> reduced = current.eliminate_var(var)) {
+      current = std::move(*reduced);
     }
   }
   return current;
@@ -58,11 +58,23 @@ Bdd run_kernel(IsfMethod method, const Isf& isf) {
 }  // namespace
 
 Bdd IsfMinimizer::minimize(const Isf& isf) const {
+  // The search minimizes most output ISFs twice — the quick-solve safety
+  // net on every generated child, then the MISF candidate when the child
+  // is expanded — so results are memoized in the manager's computed
+  // table, keyed on (ON, DC) with the settings as the tag.
+  BddManager& mgr = *isf.on().manager();
+  const std::uint32_t tag = (static_cast<std::uint32_t>(method) << 1) |
+                            (eliminate_nonessential ? 1u : 0u);
+  if (Bdd hit = mgr.minimize_memo_lookup(isf.on(), isf.dc(), tag);
+      !hit.is_null()) {
+    return hit;
+  }
   const Isf reduced =
       eliminate_nonessential ? eliminate_nonessential_vars(isf) : isf;
-  const Bdd result = run_kernel(method, reduced);
   // Postcondition: the implementation honours the *original* interval.
   // (Support elimination only tightens it, so this always holds.)
+  Bdd result = run_kernel(method, reduced);
+  mgr.minimize_memo_insert(isf.on(), isf.dc(), tag, result);
   return result;
 }
 

@@ -558,15 +558,17 @@ struct Server::Impl {
 
     // The answer is produced and the write attempted before residency is
     // released — accepted == answered is the drain invariant; a reply the
-    // CLIENT abandoned (write failure) still counts as answered.
+    // CLIENT abandoned (write failure) still counts as answered.  The
+    // counters move before the write, so a client that has read its reply
+    // never sees metrics that do not count it yet.
     if (timeout_reply) timed_out.fetch_add(1, std::memory_order_relaxed);
     if (error_reply) request_errors.fetch_add(1, std::memory_order_relaxed);
+    answered.fetch_add(1, std::memory_order_relaxed);
     (void)wire::write_frame(fd, reply);
     record_latency(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - received)
             .count()));
-    answered.fetch_add(1, std::memory_order_relaxed);
     release();
   }
 

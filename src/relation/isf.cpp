@@ -1,6 +1,7 @@
 #include "relation/isf.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace brel {
 
@@ -18,23 +19,16 @@ bool Isf::contains(const Bdd& f) const {
   return on_.subset_of(f) && f.subset_of(max());
 }
 
-bool Isf::can_eliminate_var(std::uint32_t var) const {
+std::optional<Isf> Isf::eliminate_var(std::uint32_t var) const {
   BddManager& mgr = *on_.manager();
-  const std::vector<std::uint32_t> vars{var};
-  const Bdd new_min = mgr.exists(on_, vars);
-  const Bdd new_max = mgr.forall(max(), vars);
-  return new_min.subset_of(new_max);
-}
-
-Isf Isf::eliminate_var(std::uint32_t var) const {
-  BddManager& mgr = *on_.manager();
-  const std::vector<std::uint32_t> vars{var};
-  const Bdd new_min = mgr.exists(on_, vars);
+  const std::span<const std::uint32_t> vars(&var, 1);
+  Bdd new_min = mgr.exists(on_, vars);
   const Bdd new_max = mgr.forall(max(), vars);
   if (!new_min.subset_of(new_max)) {
-    throw std::logic_error("Isf::eliminate_var: variable is essential");
+    return std::nullopt;
   }
-  return Isf(new_min, new_max & !new_min);
+  Bdd new_dc = new_max & !new_min;
+  return Isf(std::move(new_min), std::move(new_dc));
 }
 
 }  // namespace brel

@@ -4,6 +4,7 @@
 /// functions given by ON / DC / OFF sets over the input variables.
 
 #include <cstdint>
+#include <optional>
 
 #include "bdd/bdd.hpp"
 
@@ -34,14 +35,11 @@ class Isf {
   [[nodiscard]] bool is_completely_specified() const { return dc_.is_zero(); }
 
   /// Existentially/universally abstract `var` from the interval bounds,
-  /// i.e. the tightened ISF [∃var ON, ∀var (ON ∪ DC)].  The result is a
-  /// valid ISF iff `var` is non-essential (Sec. 7.5); check with
-  /// can_eliminate_var first.
-  [[nodiscard]] Isf eliminate_var(std::uint32_t var) const;
-
-  /// A variable is non-essential iff the interval [∃var min, ∀var max]
-  /// is non-empty, i.e. ∃var ON ⊆ ∀var (ON ∪ DC).
-  [[nodiscard]] bool can_eliminate_var(std::uint32_t var) const;
+  /// i.e. the tightened ISF [∃var ON, ∀var (ON ∪ DC)].  That interval is
+  /// non-empty — `var` is non-essential (Sec. 7.5) — iff
+  /// ∃var ON ⊆ ∀var (ON ∪ DC); for an essential `var` the result is
+  /// std::nullopt.
+  [[nodiscard]] std::optional<Isf> eliminate_var(std::uint32_t var) const;
 
  private:
   Bdd on_;

@@ -14,16 +14,52 @@
 // running a quarter-million declining checks against a large live table
 // within a wall-clock budget no O(live)-per-check implementation could
 // meet).
+//
+// The last part pins the traversals that run on the manager's reusable
+// scratch (size, support, sat_count, serialize_bdd) against reference
+// walks kept here, across GC index reuse, variable-block resets and
+// reordering, and counts allocations through a replaced operator new:
+// a warm traversal allocates nothing beyond its own result.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 #include <random>
+#include <set>
+#include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "bdd/bdd_transfer.hpp"
 #include "benchgen/relation_suite.hpp"
 #include "brel/solver.hpp"
+
+// Process-wide allocation counter behind a replaced global operator new
+// (the array and aligned-free forms route through these by default).
+// Tests read DELTAS around the calls they pin.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// Kept out of line: once inlined, gcc pairs the malloc/free inside with
+// the new/delete expressions at the call sites and warns about
+// mismatched allocation functions.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace brel {
 namespace {
@@ -365,6 +401,233 @@ TEST(BddGcChurnTest, PerOpCacheStatsAreTracked) {
   const std::uint64_t and_hits_before = stats.op_hits[idx(BddOp::And)];
   (void)(f & g);
   EXPECT_GT(stats.op_hits[idx(BddOp::And)], and_hits_before);
+}
+
+// ---------------------------------------------------------------------------
+// Traversals on the manager's scratch vs reference walks.
+// ---------------------------------------------------------------------------
+
+/// The top variable of a non-constant f: the first variable in level
+/// order that f depends on.
+std::uint32_t top_var(BddManager& mgr, const Bdd& f) {
+  for (std::uint32_t level = 0; level < mgr.num_vars(); ++level) {
+    const std::uint32_t v = mgr.var_at_level(level);
+    if (!(f.cofactor(v, true) == f.cofactor(v, false))) {
+      return v;
+    }
+  }
+  throw std::logic_error("top_var: constant function");
+}
+
+/// Reference DAG walk that shares no code with the manager's traversals:
+/// the node behind an edge is its index, its children are the Shannon
+/// cofactors at its top variable, and the visited set is a plain
+/// unordered_set — the shape of the pre-scratch size() and support().
+struct ReferenceWalk {
+  std::unordered_set<std::uint32_t> nodes;  ///< terminal included
+  std::set<std::uint32_t> vars;
+};
+
+ReferenceWalk reference_walk(BddManager& mgr, const Bdd& f) {
+  ReferenceWalk walk;
+  std::vector<Bdd> stack{f};
+  while (!stack.empty()) {
+    const Bdd g = stack.back();
+    stack.pop_back();
+    if (!walk.nodes.insert(detail::edge_index(g.raw_edge())).second ||
+        g.is_constant()) {
+      continue;
+    }
+    const std::uint32_t v = top_var(mgr, g);
+    walk.vars.insert(v);
+    stack.push_back(g.cofactor(v, true));
+    stack.push_back(g.cofactor(v, false));
+  }
+  return walk;
+}
+
+/// Reference identity-order serialization: lo-first post-order ids over
+/// regular node functions, memoized in an unordered_map (the shape of the
+/// pre-scratch serialize_bdd fast path).  Identity-order managers only.
+SerializedBdd reference_serialize(BddManager& mgr, const Bdd& f) {
+  SerializedBdd out;
+  std::unordered_map<std::uint32_t, std::uint32_t> id{{0u, 0u}};
+  const auto edge_of = [](const Bdd& g, std::uint32_t node_id) {
+    return (node_id << 1) |
+           (detail::edge_complemented(g.raw_edge()) ? 1u : 0u);
+  };
+  const auto rec = [&](const auto& self, const Bdd& g) -> std::uint32_t {
+    const std::uint32_t idx = detail::edge_index(g.raw_edge());
+    if (const auto it = id.find(idx); it != id.end()) {
+      return it->second;
+    }
+    const Bdd regular =
+        detail::edge_complemented(g.raw_edge()) ? !g : g;
+    const std::uint32_t v = top_var(mgr, regular);
+    const Bdd hi = regular.cofactor(v, true);
+    const Bdd lo = regular.cofactor(v, false);
+    const std::uint32_t lo_id = self(self, lo);
+    const std::uint32_t hi_id = self(self, hi);
+    out.nodes.push_back(
+        SerializedBdd::Node{v, edge_of(hi, hi_id), edge_of(lo, lo_id)});
+    out.num_vars = std::max(out.num_vars, v + 1);
+    const auto node_id = static_cast<std::uint32_t>(out.nodes.size());
+    id.emplace(idx, node_id);
+    return node_id;
+  };
+  out.root = edge_of(f, rec(rec, f));
+  return out;
+}
+
+/// Minterm count of f by evaluation over all 2^num_vars assignments.
+double reference_sat_count(BddManager& mgr, const Bdd& f) {
+  const std::uint32_t n = mgr.num_vars();
+  std::vector<bool> point(n, false);
+  double count = 0.0;
+  for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m) {
+    for (std::uint32_t v = 0; v < n; ++v) {
+      point[v] = ((m >> v) & 1u) != 0;
+    }
+    count += f.eval(point) ? 1.0 : 0.0;
+  }
+  return count;
+}
+
+void expect_same_serialized(const SerializedBdd& got,
+                            const SerializedBdd& want) {
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  for (std::size_t k = 0; k < got.nodes.size(); ++k) {
+    EXPECT_EQ(got.nodes[k].var, want.nodes[k].var) << "node " << k;
+    EXPECT_EQ(got.nodes[k].hi, want.nodes[k].hi) << "node " << k;
+    EXPECT_EQ(got.nodes[k].lo, want.nodes[k].lo) << "node " << k;
+  }
+  EXPECT_EQ(got.root, want.root);
+  EXPECT_EQ(got.num_vars, want.num_vars);
+}
+
+/// size, support and sat_count of every root against the references;
+/// serialize_bdd too when the manager has the identity order.
+void expect_traversals_match(BddManager& mgr, const std::vector<Bdd>& roots) {
+  for (const Bdd& f : roots) {
+    const ReferenceWalk walk = reference_walk(mgr, f);
+    EXPECT_EQ(f.size(), walk.nodes.size());
+    EXPECT_EQ(f.support(),
+              std::vector<std::uint32_t>(walk.vars.begin(), walk.vars.end()));
+    const double count = reference_sat_count(mgr, f);
+    EXPECT_EQ(mgr.sat_count(f, mgr.num_vars()), count);
+    EXPECT_EQ(mgr.sat_count(f, mgr.num_vars() + 3), count * 8.0);
+    if (mgr.has_identity_order()) {
+      expect_same_serialized(mgr.serialize_bdd(f), reference_serialize(mgr, f));
+    }
+  }
+}
+
+/// Random roots plus the corner cases: constants, a literal, and the
+/// interleaving-sensitive pair function OR_i (x_i & x_{i+half}).
+std::vector<Bdd> traversal_roots(BddManager& mgr, std::mt19937& rng,
+                                 std::size_t count) {
+  const std::uint32_t vars = mgr.num_vars();
+  std::vector<Bdd> roots{mgr.one(), mgr.zero(), !mgr.var(vars - 1)};
+  Bdd pairs = mgr.zero();
+  for (std::uint32_t i = 0; i < vars / 2; ++i) {
+    pairs = pairs | (mgr.var(i) & mgr.var(i + vars / 2));
+  }
+  roots.push_back(pairs);
+  for (std::size_t i = 0; i < count; ++i) {
+    roots.push_back(random_function(mgr, rng, vars, 4));
+  }
+  return roots;
+}
+
+TEST(BddTraversalTest, MatchesReferenceWalksAcrossGcResetAndReorder) {
+  constexpr std::uint32_t kVars = 10;
+  BddManager mgr{kVars};
+  std::mt19937 rng{606};
+  std::vector<Bdd> roots = traversal_roots(mgr, rng, 40);
+  expect_traversals_match(mgr, roots);
+
+  // GC index reuse: freed slots come back holding other functions, so
+  // anything keyed on node indices across calls would now be wrong.
+  roots.resize(roots.size() / 2);
+  mgr.garbage_collect();
+  for (Bdd& f : traversal_roots(mgr, rng, 20)) {
+    roots.push_back(std::move(f));
+  }
+  expect_traversals_match(mgr, roots);
+
+  // A variable-block reset restarts the node store from index 1.
+  roots.clear();
+  ASSERT_TRUE(mgr.reset_variables());
+  (void)mgr.add_vars(kVars);
+  roots = traversal_roots(mgr, rng, 40);
+  expect_traversals_match(mgr, roots);
+
+  // Reordered: the pair function forces sifting off the identity order.
+  // serialize_bdd re-expresses in identity order, so it must match an
+  // identity-order twin built from the same seed.
+  BddManager twin{kVars};
+  std::mt19937 twin_rng{707};
+  const std::vector<Bdd> twin_roots = traversal_roots(twin, twin_rng, 40);
+  std::mt19937 same_rng{707};
+  const std::vector<Bdd> sifted_roots = traversal_roots(mgr, same_rng, 40);
+  mgr.reorder();
+  ASSERT_FALSE(mgr.has_identity_order());
+  expect_traversals_match(mgr, sifted_roots);
+  for (std::size_t i = 0; i < sifted_roots.size(); ++i) {
+    expect_same_serialized(mgr.serialize_bdd(sifted_roots[i]),
+                           reference_serialize(twin, twin_roots[i]));
+  }
+}
+
+TEST(BddTraversalTest, WarmTraversalsAllocateOnlyTheirResults) {
+  constexpr std::uint32_t kVars = 12;
+  BddManager mgr{kVars};
+  std::mt19937 rng{808};
+  const std::vector<Bdd> roots = traversal_roots(mgr, rng, 64);
+  std::size_t non_constant = 0;
+  for (const Bdd& f : roots) {
+    // Warm-up: the scratch grows to the largest DAG walked.
+    (void)f.size();
+    (void)f.support();
+    (void)mgr.sat_count(f, kVars);
+    (void)mgr.serialize_bdd(f);
+    non_constant += f.is_constant() ? 0 : 1;
+  }
+  const auto allocs_during = [](const auto& body) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    body();
+    return g_allocs.load(std::memory_order_relaxed) - before;
+  };
+  std::size_t total_size = 0;
+  EXPECT_EQ(allocs_during([&] {
+              for (const Bdd& f : roots) {
+                total_size += f.size();
+              }
+            }),
+            0u);
+  EXPECT_GT(total_size, roots.size());
+  double total_count = 0.0;
+  EXPECT_EQ(allocs_during([&] {
+              for (const Bdd& f : roots) {
+                total_count += mgr.sat_count(f, kVars);
+              }
+            }),
+            0u);
+  EXPECT_GT(total_count, 0.0);
+  // support() and serialize_bdd() allocate exactly one buffer each — the
+  // result, sized exactly — and nothing at all for a constant.
+  EXPECT_EQ(allocs_during([&] {
+              for (const Bdd& f : roots) {
+                (void)f.support();
+              }
+            }),
+            non_constant);
+  EXPECT_EQ(allocs_during([&] {
+              for (const Bdd& f : roots) {
+                (void)mgr.serialize_bdd(f);
+              }
+            }),
+            non_constant);
 }
 
 }  // namespace

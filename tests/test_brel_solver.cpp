@@ -7,6 +7,7 @@
 #include <random>
 
 #include "benchgen/paper_relations.hpp"
+#include "benchgen/relation_suite.hpp"
 #include "brel/solver.hpp"
 #include "relation/enumeration.hpp"
 
@@ -271,6 +272,152 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, IsfMinimizerMethodTest,
                                            IsfMethod::Constrain,
                                            IsfMethod::Restrict,
                                            IsfMethod::SafeRestrict));
+
+// ---------------------------------------------------------------------------
+// The minimize memo: IsfMinimizer::minimize results kept in the computed
+// table under BddOp::Minimize.
+// ---------------------------------------------------------------------------
+
+/// Random ISF over `vars` variables: every minterm lands in ON, DC or OFF.
+Isf random_isf(BddManager& mgr, std::mt19937& rng, std::uint32_t vars) {
+  Bdd on = mgr.zero();
+  Bdd dc = mgr.zero();
+  for (std::uint32_t i = 0; i < (1u << vars); ++i) {
+    Bdd minterm = mgr.one();
+    for (std::uint32_t j = 0; j < vars; ++j) {
+      minterm = minterm & mgr.literal(j, ((i >> j) & 1u) != 0);
+    }
+    switch (rng() % 3) {
+      case 0:
+        on = on | minterm;
+        break;
+      case 1:
+        dc = dc | minterm;
+        break;
+      default:
+        break;
+    }
+  }
+  return Isf(on, dc);
+}
+
+std::uint64_t minimize_hits(const BddManager& mgr) {
+  return mgr.stats().op_hits[static_cast<std::size_t>(BddOp::Minimize)];
+}
+std::uint64_t minimize_lookups(const BddManager& mgr) {
+  return mgr.stats().op_lookups[static_cast<std::size_t>(BddOp::Minimize)];
+}
+
+TEST(MinimizeMemoTest, HitEqualsUncachedMinimization) {
+  BddManager mgr{6};
+  std::mt19937 rng{7};
+  for (int iter = 0; iter < 20; ++iter) {
+    const Isf isf = random_isf(mgr, rng, 6);
+    for (const IsfMethod method :
+         {IsfMethod::Isop, IsfMethod::Constrain, IsfMethod::Restrict,
+          IsfMethod::SafeRestrict}) {
+      for (const bool elim : {false, true}) {
+        const IsfMinimizer minimizer{method, elim};
+        const Bdd first = minimizer.minimize(isf);
+        const std::uint64_t hits = minimize_hits(mgr);
+        const Bdd again = minimizer.minimize(isf);
+        EXPECT_EQ(minimize_hits(mgr), hits + 1) << "second call must hit";
+        EXPECT_TRUE(again == first);
+        // Uncached: a GC empties the computed table, so this recomputes.
+        mgr.garbage_collect();
+        const Bdd recomputed = minimizer.minimize(isf);
+        EXPECT_EQ(minimize_hits(mgr), hits + 1) << "GC must drop the memo";
+        EXPECT_TRUE(recomputed == first);
+      }
+    }
+  }
+}
+
+TEST(MinimizeMemoTest, MethodsDoNotShareEntries) {
+  BddManager mgr{6};
+  std::mt19937 rng{8};
+  const IsfMinimizer isop{IsfMethod::Isop, true};
+  const IsfMinimizer restricter{IsfMethod::Restrict, true};
+  int differing = 0;
+  for (int iter = 0; iter < 20; ++iter) {
+    const Isf isf = random_isf(mgr, rng, 6);
+    mgr.garbage_collect();
+    const Bdd uncached_restrict = restricter.minimize(isf);
+    mgr.garbage_collect();
+    const Bdd by_isop = isop.minimize(isf);
+    const std::uint64_t hits = minimize_hits(mgr);
+    const Bdd by_restrict = restricter.minimize(isf);
+    EXPECT_EQ(minimize_hits(mgr), hits) << "Restrict hit an Isop entry";
+    EXPECT_TRUE(by_restrict == uncached_restrict);
+    differing += by_restrict == by_isop ? 0 : 1;
+  }
+  // The two kernels disagree on some ISFs, so a shared entry would show.
+  EXPECT_GT(differing, 0);
+}
+
+TEST(MinimizeMemoTest, EntriesDieWithGcReorderAndReset) {
+  const IsfMinimizer minimizer{};
+  BddManager mgr{0};
+  const auto build = [&mgr] {
+    (void)mgr.add_vars(6);
+    std::mt19937 rng{9};
+    return random_isf(mgr, rng, 6);
+  };
+  const auto expect_miss = [&](const Isf& isf, const char* after) {
+    const std::uint64_t hits = minimize_hits(mgr);
+    const std::uint64_t lookups = minimize_lookups(mgr);
+    (void)minimizer.minimize(isf);
+    EXPECT_EQ(minimize_lookups(mgr), lookups + 1);
+    EXPECT_EQ(minimize_hits(mgr), hits) << "memo entry survived " << after;
+  };
+  {
+    const Isf isf = build();
+    (void)minimizer.minimize(isf);
+    mgr.garbage_collect();
+    expect_miss(isf, "garbage_collect");
+    mgr.reorder();
+    expect_miss(isf, "reorder");
+    // Control: with nothing in between, the same call hits.
+    const std::uint64_t hits = minimize_hits(mgr);
+    (void)minimizer.minimize(isf);
+    EXPECT_EQ(minimize_hits(mgr), hits + 1);
+  }
+  // Rebuilding the same ISF after a reset reproduces the same node
+  // indices, so a surviving entry would be found under the same key.
+  ASSERT_TRUE(mgr.reset_variables());
+  const Isf isf = build();
+  expect_miss(isf, "reset_variables");
+}
+
+TEST(MinimizeMemoTest, SuiteHitsWithUnchangedCostAndExploration) {
+  // The schedule-independent configuration (no bound, depth cap 6): cost
+  // and exploration over the suite are pure functions of the relations,
+  // so the memo must leave both exactly where the uncached solver had
+  // them while serving repeat minimizations.
+  SolverOptions options;
+  options.cost = sum_of_bdd_sizes();
+  options.max_relations = static_cast<std::size_t>(-1);
+  options.use_cost_bound = false;
+  options.max_depth = 6;
+  double cost = 0.0;
+  std::size_t explored = 0;
+  std::uint64_t hits = 0;
+  for (const RelationBenchmark& bench : relation_suite()) {
+    BddManager mgr{0};
+    std::vector<std::uint32_t> inputs;
+    std::vector<std::uint32_t> outputs;
+    const BooleanRelation r =
+        make_benchmark_relation(mgr, bench, inputs, outputs);
+    const SolveResult result = BrelSolver(options).solve(r);
+    EXPECT_TRUE(r.is_compatible(result.function)) << bench.name;
+    cost += result.cost;
+    explored += result.stats.relations_explored;
+    hits += minimize_hits(mgr);
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_DOUBLE_EQ(cost, 817.0);
+  EXPECT_EQ(explored, 1915u);
+}
 
 }  // namespace
 }  // namespace brel

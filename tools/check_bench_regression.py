@@ -24,7 +24,10 @@ and `key_build_ms` / `*_key_build_ms` (bench_solver_pool) are
 lower-is-better timings via their suffixes, while
 `memo_key.hash_probe_allocs` is machine-independent and must stay
 exactly 0 — a hash-only probe that allocates means the lazy-key miss
-path regressed into materializing.
+path regressed into materializing.  Likewise every `traversal.*_allocs`
+field of bench_bdd_ops (scratch allocations per size / support /
+sat_count / serialize_bdd call) must stay exactly 0: a warm traversal
+that allocates means it stopped reusing the manager's scratch.
 """
 
 import json
@@ -75,7 +78,10 @@ def main():
     walk("", fresh, fresh_flat)
     for path, value in fresh_flat.items():
         leaf = path.rsplit(".", 1)[-1]
-        if leaf in EXACT_ZERO and value != 0:
+        exact_zero = leaf in EXACT_ZERO or (
+            path.startswith("traversal.") and leaf.endswith("_allocs")
+        )
+        if exact_zero and value != 0:
             failures.append(f"{path}: {value:g} (must be 0)")
 
     ref_cores = reference.get("authoring_host", {}).get("cores")
