@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   bench::JsonWriter json;
   json.begin_object();
   json.field_str("bench", "bench_incremental");
+  bench::write_authoring_host(json);
 
   std::printf("Incremental re-solve over the BR suite "
               "(partition_inputs=5, depth cap 6, 1-minterm edits)\n\n");

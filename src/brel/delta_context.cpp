@@ -28,11 +28,6 @@ const SerializedBdd* DeltaRegistry::find_base(
   return nullptr;
 }
 
-const SerializedBdd* DeltaRegistry::find_base(
-    const GlobalMemoKey& key) const {
-  return find_base(key.input_ranks(), key.output_ranks());
-}
-
 const std::vector<std::uint32_t>* DeltaRegistry::find_order(
     const std::vector<std::uint32_t>& input_ranks,
     const std::vector<std::uint32_t>& output_ranks) const {

@@ -1,26 +1,24 @@
 #pragma once
 /// \file delta_context.hpp
-/// Incremental re-solve support: remember the characteristic of the last
-/// solved relation per variable space so the next solve of a *nearly*
-/// identical relation can diff against it and reuse every untouched
-/// subtree.
+/// Per-embedder memory of recently solved root relations, per variable
+/// space.  It serves two consumers:
 ///
-/// The mechanism (DESIGN.md §incremental): when a run starts and its
-/// root misses the GlobalMemo, the engine asks its DeltaRegistry for the
-/// most recent base relation over the same input/output rank spaces.
-/// The base characteristic is materialized in the solving manager
-/// (import_canonical_bdd) and the run carries delta = chi_new XOR
-/// chi_base down the recursive decomposition: Split constrains both
-/// relations identically (relation.hpp split_removals), so constraining
-/// the root XOR by the same path yields the XOR of the two subproblems
-/// at that path.  A ZERO delta cofactor therefore proves the subproblem
-/// is byte-identical to the base run's — its depth-indexed GlobalMemo
-/// entry (global_memo.hpp) is exact for this prober, and the memo probe
-/// the engine performs anyway serves it without re-search.  The delta
-/// itself never decides reuse (the memo's completeness protocol does);
-/// it classifies subtrees for the `# delta:` observability counters and
-/// pays for itself by explaining *why* a warm-delta solve explores only
-/// the changed region.
+///   - PARTITION BASES (partition.hpp): solve_partitioned diffs a request
+///     against the registry's most recent base over the same input/output
+///     rank spaces (import_canonical_bdd materializes it in the solving
+///     manager) and cofactors the XOR change region per input block.  A
+///     zero block cofactor proves that block's relation byte-identical to
+///     the base run's, whose block root entry in the GlobalMemo serves it
+///     without re-search.  The delta never decides reuse — the content-
+///     keyed root probes do — it classifies blocks for the `# delta:`
+///     observability counters;
+///   - ORDER MEMORY (solver_pool.hpp): the block order a pool slot's last
+///     same-signature solve drained with, which seeds the next request's
+///     variable order so repeat traffic skips the sifting ramp.
+///
+/// The plain engines (search.hpp, parallel_engine.hpp) never read it: the
+/// memo holds whole answers keyed at the root, so there is no interior
+/// subtree for a per-node delta to classify.
 ///
 /// Threading: a DeltaRegistry belongs to ONE embedder thread (a pool
 /// slot's worker_loop, or the CLI main thread).  It stores only plain
@@ -46,14 +44,11 @@ class DeltaRegistry {
   explicit DeltaRegistry(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// The most recent base characteristic solved over the same rank
-  /// spaces as `key`, or nullptr.  The pointer is owned by the registry
-  /// and invalidated by the next remember().
-  [[nodiscard]] const SerializedBdd* find_base(
-      const GlobalMemoKey& key) const;
-  /// Rank-list form of find_base, for probers holding a HASHED lazy key
-  /// (the signature is in the MemoSpace; no materialization needed to
-  /// learn whether a base exists).
+  /// The most recent base characteristic solved over these rank spaces,
+  /// or nullptr.  Takes the rank lists (they live in the MemoSpace), so
+  /// learning whether a base exists needs no materialized key.  The
+  /// pointer is owned by the registry and invalidated by the next
+  /// remember().
   [[nodiscard]] const SerializedBdd* find_base(
       std::span<const std::uint32_t> input_ranks,
       std::span<const std::uint32_t> output_ranks) const;

@@ -14,7 +14,10 @@
 /// rejected (the caller records the overflow and relies on the QuickSolver
 /// safety net, Sec. 7.6).  Items *move* through the frontier — a
 /// `Subproblem` owns its `BooleanRelation` and is never copied on the way
-/// in or out.
+/// in or out.  A subproblem carries no cross-solve memo state: the engines
+/// probe and publish the GlobalMemo at the search root only (search.hpp),
+/// so interior nodes are plain (relation, depth) pairs plus the
+/// manager-local cache chain and the best-first pricing.
 
 #include <cstddef>
 #include <deque>
@@ -22,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "brel/global_memo.hpp"
 #include "relation/relation.hpp"
 
 namespace brel {
@@ -52,23 +54,6 @@ struct Subproblem {
   /// cache is active.  The edges stay pinned by the cache's keep-alive
   /// handles.
   std::vector<detail::Edge> ancestors;
-
-  /// The same ancestor chain as lazy canonical-key handles (root → ... →
-  /// itself, truncated at SolverOptions::global_memo_depth).  The
-  /// HANDLES are shared (a child's chain copies the parent's vector of
-  /// shared_ptrs — O(depth) cheap refcount bumps, never a hash or key
-  /// rebuild); chains are short in practice, a persistent cons-list is
-  /// the upgrade path if deep trees ever make the copies show.  Empty
-  /// when no global memo is active — memo-less runs build no keys and
-  /// no hashes at all.
-  std::vector<MemoKeyHandle> memo_chain;
-
-  /// Incremental-delta cofactor (delta_context.hpp): the XOR of this
-  /// subproblem's characteristic against the corresponding base-run
-  /// subproblem, maintained by constraining the parent's delta with the
-  /// same split removals.  A null handle means no delta is being tracked
-  /// this run; a ZERO BDD proves the subproblem identical to the base's.
-  Bdd delta;
 
   /// Ordering key for best-first frontiers: the cost of the MISF candidate
   /// computed when the subproblem was generated.  Unused (0) otherwise.

@@ -18,6 +18,18 @@
 /// into the prober's manager with `deserialize_bdd` — never a
 /// cross-manager handle.
 ///
+/// What the engines store: whole answers.  Every node of one search tree
+/// is a distinct subrelation (Property 5.4), so a memo can only pay off
+/// when a later request repeats work, and service traffic repeats whole
+/// requests, not subtrees.  SearchEngine and ParallelEngine therefore
+/// probe once, at the root, with lookup(); a miss searches with no memo
+/// traffic at all; a drained run publishes its returned result under the
+/// root key once and marks it root-exact (publish_root_result in
+/// search.hpp).  One entry per distinct solved relation, one probe and at
+/// most one publish per solve.  The depth-indexed completeness protocol
+/// below is the memo's general contract — snapshot and peer records
+/// carry its marks — of which the engines use the root-exact case.
+///
 /// Lifetime/GC contract: entries are PLAIN DATA — no `Bdd` handles, no
 /// pinned edges, no reference counts.  Any manager may garbage-collect at
 /// any time without invalidating the memo, which is what lets managers
@@ -33,8 +45,8 @@
 /// match: the stored entry keeps its materialized key
 /// (shared_ptr<const GlobalMemoKey>), the handle materializes its own
 /// OUTSIDE the shard lock, and a word-compare disambiguates.  A verified
-/// handle caches the entry's created_seq in `verified_seq`, so every
-/// re-probe and ancestor republish skips even the compare.  A hash
+/// handle caches the entry's created_seq in `verified_seq`, so a
+/// re-probe or republish through the same handle skips even the compare.  A hash
 /// collision against a DIFFERENT key (never observed for a 128-bit
 /// structural hash, but load-bearing for soundness) is counted and
 /// treated as a miss; publishes under a colliding hash are dropped
@@ -61,7 +73,7 @@
 /// — share among runs of one configuration (the pool enforces this by
 /// fixing one SolverOptions for all requests).
 ///
-/// Tiering (this PR's refactor): GlobalMemo is the hot tier of a
+/// Tiering: GlobalMemo is the hot tier of a
 /// `MemoBackend` stack.  Its own probe/publish/mark paths are untouched
 /// — probe order, run-stamp vouching, and the depth-indexed completeness
 /// semantics below are exactly what they were when it was the only tier.
@@ -70,8 +82,7 @@
 ///   - a FAULT TIER (set_fault_tier): a ROOT-position lookup() that
 ///     misses locally consults the next tier (the peer exchange) and, on
 ///     a hit, installs the faulted entry locally before serving it.
-///     Interior probes (lookup_at at depth > 0) never fault — the hot
-///     per-subproblem path pays zero network I/O;
+///     lookup_at() never faults;
 ///   - a COMPLETE LISTENER (set_complete_listener): mark_complete
 ///     notifies it, outside any shard lock, of every key whose new mark
 ///     is eligible to cross a tier boundary — the push-gossip feed of
@@ -130,11 +141,12 @@ struct MemoMark {
 
 /// The cross-solve memo.  Thread-safe; entries are plain data.
 ///
-/// Completeness protocol: publishes made *during* a run only accumulate
-/// an entry's best-so-far; lookup()/lookup_at() return nothing until the
-/// entry is marked **complete**.  A run that ends at its natural
-/// frontier drain (not stopped by budget/timeout) marks, per touched
-/// subproblem, what it can vouch for:
+/// Completeness protocol: publishes only accumulate an entry's
+/// best-so-far; lookup()/lookup_at() return nothing until the entry is
+/// marked **complete**.  A producer that ran to its natural frontier
+/// drain (not stopped by budget/timeout) may mark, per subproblem it
+/// explored, what it can vouch for (the engines make only the last,
+/// root-exact claim):
 ///
 ///   - a subtree cut by NOTHING (no cost-bound prune, no symmetry or
 ///     subproblem-cache prune, no frontier-overflow drop, no depth-cap
@@ -159,9 +171,8 @@ struct MemoMark {
 ///     construction for a prober re-solving the identical relation.
 ///
 /// This is what keeps a long-lived service sound: a request that times
-/// out publishes only invisible partial memos, so the next identical
-/// request re-explores instead of being served the degraded result
-/// forever.  Completeness is sticky — a later, strictly better publish
+/// out publishes nothing, so the next identical request re-explores
+/// instead of being served the degraded result forever.  Completeness is sticky — a later, strictly better publish
 /// (same fingerprint, so the same objective) refines a complete entry
 /// without un-completing it, and a later natural mark upgrades a
 /// truncated one (never the reverse).  The protocol is purely

@@ -25,9 +25,10 @@
 /// ROOT-position prober (depth 0) under the in-memory protocol —
 /// naturally-complete entries (at any recorded depth; they serve every
 /// shallower prober) and the root-exact records a drained solve marks
-/// truncated-at-depth-0 (exactly what that solve returned).  Interior
-/// depth-truncated entries are budget-relative by construction and
-/// hard-tainted entries are never even marked; neither serializes.  An
+/// truncated-at-depth-0 (exactly what that solve returned; the only
+/// kind the engines produce, since they publish at the root only).
+/// Interior depth-truncated entries are budget-relative by construction
+/// and unmarked entries are not complete; neither serializes.  An
 /// imported record re-installs with its ORIGINAL mark (natural at its
 /// depth, or truncated-at-0), so a restored memo answers probes
 /// bit-identically to the memo that was saved.
@@ -167,16 +168,14 @@ class GlobalMemoKey {
 /// A canonical key in one of two states: HASHED (the 128-bit identity
 /// plus the live chi handle needed to materialize later) or MATERIALIZED
 /// (the arena form built, the chi handle dropped — pure plain data from
-/// then on).  The engines thread these through memo chains so the common
-/// case — probe misses and ancestor republishes — never serializes;
-/// get() materializes exactly once, on the first candidate hit to verify
-/// or on first publish.
+/// then on).  The engines probe the root with one, so the common case —
+/// a probe miss — never serializes; get() materializes exactly once, on
+/// the first candidate hit to verify or on the end-of-run publish.
 ///
 /// Thread contract: materialization touches chi's manager, so get() on a
-/// HASHED handle may only run on that manager's owning thread.  Work
-/// migration respects this by materializing every chain handle on the
-/// victim's thread before the hand-off (the queue mutex is the barrier);
-/// once materialized, the handle is immutable plain data and concurrent
+/// HASHED handle may only run on that manager's owning thread (the
+/// parallel coordinator builds, probes and publishes its root handle on
+/// the thread owning the root manager); once materialized, the handle is immutable plain data and concurrent
 /// get()/shared_key() are safe.  `verified_seq` is the only field
 /// written after sharing and is a relaxed atomic (a stale read only
 /// costs a redundant verification).
@@ -221,8 +220,7 @@ class LazyMemoKey {
 };
 
 /// How the engines refer to a canonical key: shared so one handle (and
-/// its one materialization) serves a subproblem, its ancestor chains,
-/// and the touched-key list alike.
+/// its one materialization) serves the root probe and the publish alike.
 using MemoKeyHandle = std::shared_ptr<LazyMemoKey>;
 
 /// HASHED handle for the subrelation with characteristic `chi` in

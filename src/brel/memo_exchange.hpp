@@ -22,9 +22,8 @@
 ///     local memo and whose key is owned by a peer sends `MEMO_PULL`
 ///     with the canonical key to the owner; a hit installs the pulled
 ///     record (with its original mark) into the local memo and serves
-///     it.  Interior probes never pull — only GlobalMemo::lookup's
-///     depth-0 path faults, so the per-subproblem hot path pays zero
-///     network I/O.  The owner answers from its LOCAL memo only
+///     it.  Only GlobalMemo::lookup's depth-0 path faults; lookup_at
+///     never pulls.  The owner answers from its LOCAL memo only
 ///     (Server's handler uses export_entry, not lookup), so two peers
 ///     can never recurse into each other;
 ///   - PUSH (the gossip path): GlobalMemo's completion listener feeds

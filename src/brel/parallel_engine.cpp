@@ -6,15 +6,12 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -31,23 +28,11 @@ namespace {
 /// safe to hand across threads (see bdd_transfer.hpp).  The push-time
 /// best-first candidate and the cache ancestor chain do not travel — the
 /// thief re-seeds the priority and starts a fresh chain in its own cache.
-/// The global-memo key chain DOES travel: dropping it would detach the
-/// stolen subtree's discoveries from its ancestors' memo entries (a warm
-/// re-solve at the root would then return a worse cost than the run
-/// that warmed it whenever the best solution was found in stolen work).
-/// Chain handles are lazy (LazyMemoKey) and a HASHED handle pins a Bdd
-/// of the VICTIM's manager, so donate_work materializes every handle on
-/// the victim's thread before serializing the batch — what crosses the
-/// queue is plain data again, and the queue mutex is the barrier.
+/// Nothing memo-related travels either: the cross-solve memo is probed
+/// and published by the coordinator, at the root only.
 struct InjectedSubproblem {
   SerializedBdd chi;
   std::size_t depth = 0;
-  std::vector<MemoKeyHandle> memo_chain;
-  /// Incremental-delta cofactor (delta_context.hpp), present iff the
-  /// victim was tracking a delta; it migrates with the subtree so the
-  /// thief keeps classifying (and short-circuiting) exactly as the
-  /// victim would have.
-  std::optional<SerializedBdd> delta;
 };
 
 /// One donation: up to SolverOptions::steal_batch subproblems serialized
@@ -111,15 +96,6 @@ struct WorkerOutcome {
   /// would leak the schedule into the returned function.
   std::optional<PortableSolution> best_portable;
   SolverStats stats;
-  /// Memo keys this worker's expansions created, with their depths, plus
-  /// the worker's taint sets (plain data; the taint pointers stay alive
-  /// through the shared_ptrs in the touched lists).  Whether the fleet
-  /// drained naturally is only known after join, so the coordinator —
-  /// not the worker — turns the fleet-wide union into completeness
-  /// marks.
-  std::vector<SearchContext::MemoTouch> memo_touched;
-  std::unordered_set<const LazyMemoKey*> memo_hard_tainted;
-  std::unordered_set<const LazyMemoKey*> memo_soft_tainted;
 };
 
 /// Serve pending steal requests from this worker's surplus: donate one
@@ -152,20 +128,8 @@ void donate_work(SharedState& shared, Frontier& frontier, BddManager& mgr,
     InjectedBatch batch;
     batch.reserve(picks.size());
     for (Subproblem& victim : picks) {
-      // Materialize every chain handle HERE, on the victim's thread: a
-      // HASHED handle pins a Bdd of this manager, which must not cross
-      // to the thief (see LazyMemoKey's thread contract).  Once
-      // materialized the handle is immutable plain data.
-      for (const MemoKeyHandle& key : victim.memo_chain) {
-        (void)key->get();
-      }
-      std::optional<SerializedBdd> delta;
-      if (!victim.delta.is_null()) {
-        delta = mgr.serialize_bdd(victim.delta);
-      }
       batch.push_back(InjectedSubproblem{
-          mgr.serialize_bdd(victim.rel.characteristic()), victim.depth,
-          std::move(victim.memo_chain), std::move(delta)});
+          mgr.serialize_bdd(victim.rel.characteristic()), victim.depth});
     }
     donated_items += batch.size();
     batches.push_back(std::move(batch));
@@ -241,16 +205,6 @@ bool acquire_injected(SearchContext& ctx, SharedState& shared,
       (void)ctx.cache->seen_before_or_insert(sub.rel.characteristic());
       sub.ancestors.push_back(sub.rel.characteristic().raw_edge());
     }
-    // The global-memo chain travels with the work (it is plain data and
-    // already ends with this node's own key): the stolen subtree keeps
-    // publishing for its true ancestors, root included.  No probe here —
-    // the victim already published this child's quick solution when it
-    // generated the node, so a probe would "hit" our own fleet's pending
-    // work and silently drop the stolen subtree.
-    sub.memo_chain = std::move(item.memo_chain);
-    if (item.delta.has_value()) {
-      sub.delta = ctx.mgr.deserialize_bdd(*item.delta);
-    }
     seed_priority(ctx, sub, frontier);
     frontier.push_root(std::move(sub));  // stolen work is never dropped
   }
@@ -259,18 +213,12 @@ bool acquire_injected(SearchContext& ctx, SharedState& shared,
 
 /// One worker: the serial engine's loop (same step-0 seeding on worker 0,
 /// same expansion order within the local frontier) plus the donation /
-/// injection / shared-bound / global-budget hooks.
-/// `root_delta` is the root's serialized XOR change region when the
-/// coordinator armed incremental mode (delta_context.hpp), null
-/// otherwise; worker 0 materializes it onto the root subproblem, every
-/// worker classifies while it is armed (stolen work carries its own
-/// delta cofactor through the injection queue).
+/// injection / shared-bound / global-budget hooks.  Workers never touch
+/// the cross-solve memo (the coordinator probes and publishes the root).
 void run_worker(std::size_t worker_id, BddManager& mgr,
                 const BooleanRelation& root, const SolverOptions& options,
                 std::chrono::steady_clock::time_point start,
-                const MemoRunStamp& memo_stamp,
-                const SerializedBdd* root_delta, SharedState& shared,
-                WorkerOutcome& out) {
+                SharedState& shared, WorkerOutcome& out) {
   SearchContext ctx{mgr,
                     options,
                     options.cost ? options.cost : sum_of_bdd_sizes(),
@@ -295,25 +243,11 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
   }
   // The rank tables are per-worker because they reference this worker's
   // manager variables; all workers mirror the coordinator's variable
-  // layout, so every worker produces identical canonical forms.  Built
-  // even without a memo: the space anchors the canonical equal-cost tie
-  // order (canonically_before) for the incumbent and the merge.
-  const std::shared_ptr<const MemoSpace> memo_space =
-      std::make_shared<const MemoSpace>(make_memo_space(root));
-  ctx.tie_space = memo_space.get();
-  if (options.global_memo != nullptr) {
-    // The memo itself is shared (thread-safe, plain-data entries).
-    ctx.memo = options.global_memo.get();
-    ctx.memo_space = memo_space.get();
-    // Shared ref: HASHED key handles keep this worker's space alive.
-    ctx.memo_space_ref = memo_space;
-    // One stamp for the whole fleet: the fleet is one producing run.
-    ctx.memo_stamp = memo_stamp;
-  }
-  if (root_delta != nullptr) {
-    ctx.delta_active = true;
-    ctx.stats.delta_active = true;
-  }
+  // layout, so every worker produces identical canonical forms.  They
+  // anchor the canonical equal-cost tie order (canonically_before) for
+  // the incumbent and the merge.
+  const MemoSpace tie_space = make_memo_space(root);
+  ctx.tie_space = &tie_space;
   const std::unique_ptr<Frontier> frontier =
       make_frontier(options.order, options.fifo_capacity);
 
@@ -341,29 +275,12 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
       (void)ctx.cache->seen_before_or_insert(root.characteristic());
       root_item.ancestors.push_back(root.characteristic().raw_edge());
     }
-    if (ctx.memo_active(0)) {
-      // The coordinator already probed the memo before spawning the
-      // fleet (a root hit never starts threads), so worker 0 only seeds
-      // the publish chain here — a hash-only handle, like any child key.
-      root_item.memo_chain.push_back(
-          make_memo_handle(ctx.memo_space_ref, root.characteristic()));
-      ctx.memo_touched.push_back({root_item.memo_chain.back(), 0});
-    }
-    if (root_delta != nullptr) {
-      root_item.delta = mgr.deserialize_bdd(*root_delta);
-    }
     MultiFunction quick = quick_solve(root, options.minimizer);
     ++ctx.stats.quick_solutions;
     ++ctx.stats.solutions_seen;
     const double quick_cost = ctx.cost(quick);
     if (ctx.cache != nullptr) {
       ctx.cache->improve(root_item.ancestors, quick, quick_cost);
-    }
-    if (ctx.memo != nullptr && !root_item.memo_chain.empty()) {
-      ctx.memo->publish(root_item.memo_chain.front(),
-                        make_portable_solution(*ctx.memo_space, quick,
-                                               quick_cost),
-                        ctx.memo_stamp.run_id);
     }
     ctx.best_cost = quick_cost;
     ctx.best = std::move(quick);
@@ -423,19 +340,9 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
         ctx.best_portable.has_value()
             ? std::move(ctx.best_portable)
             : std::optional<PortableSolution>(make_portable_solution(
-                  *memo_space, out.best, out.best_cost));
+                  tie_space, out.best, out.best_cost));
   }
   out.stats = ctx.stats;
-  // Materialize every touched handle before it leaves this thread: the
-  // coordinator reads shared_key() for the completeness marks, and a
-  // still-HASHED handle (probe missed, nothing ever published under it)
-  // can only be built where its manager lives — here.
-  for (const SearchContext::MemoTouch& touch : ctx.memo_touched) {
-    (void)touch.key->get();
-  }
-  out.memo_touched = std::move(ctx.memo_touched);
-  out.memo_hard_tainted = std::move(ctx.memo_hard_tainted);
-  out.memo_soft_tainted = std::move(ctx.memo_soft_tainted);
 }
 
 /// Counter-wise sum of two stats records (the flags merge by OR).
@@ -454,9 +361,6 @@ void accumulate_stats(SolverStats& into, const SolverStats& from) {
   into.solutions_seen += from.solutions_seen;
   into.steal_batches += from.steal_batches;
   into.reorders += from.reorders;
-  into.delta_active = into.delta_active || from.delta_active;
-  into.delta_reused += from.delta_reused;
-  into.delta_researched += from.delta_researched;
   into.lock_wait_ns += from.lock_wait_ns;
   into.budget_exhausted = into.budget_exhausted || from.budget_exhausted;
 }
@@ -505,9 +409,8 @@ SolveResult ParallelEngine::run() {
 
   // Warm-memo fast path: probe the cross-solve memo with the root's
   // canonical key before paying for managers and threads.  A hit is the
-  // memoized best of an identical earlier solve — return it directly.
-  // The space and key outlive the probe: the incremental overlay below
-  // and the end-of-run base registration reuse them.
+  // memoized answer of an identical earlier solve — return it directly.
+  // The key outlives the probe: a drained run publishes under it.
   std::shared_ptr<const MemoSpace> memo_space;
   MemoKeyHandle root_key;
   if (options_.global_memo != nullptr) {
@@ -515,10 +418,6 @@ SolveResult ParallelEngine::run() {
     root_key = make_memo_handle(memo_space, root_.characteristic());
     if (const std::optional<PortableSolution> entry =
             options_.global_memo->lookup(root_key)) {
-      if (options_.delta_registry != nullptr) {
-        // A served root is as good as a drained one for the next diff.
-        options_.delta_registry->remember(root_key->get());
-      }
       SolveResult result;
       result.function =
           import_portable_solution(root_mgr, *memo_space, *entry);
@@ -531,26 +430,6 @@ SolveResult ParallelEngine::run() {
                                         start)
               .count();
       return result;
-    }
-  }
-
-  // Incremental delta (delta_context.hpp): on a root miss, diff against
-  // the registry's most recent base while both BDDs live in the
-  // caller's manager (the registry belongs to the calling thread), then
-  // ship the change region to the fleet in serialized form — worker 0
-  // materializes it onto the root, donations carry the per-subtree
-  // cofactors from there.
-  std::optional<SerializedBdd> root_delta;
-  if (options_.delta_registry != nullptr && memo_space != nullptr) {
-    // Rank-list overlay probe: a miss must not force the root key to
-    // materialize (that would serialize on the cold path the lazy keys
-    // exist to keep serialization-free).
-    if (const SerializedBdd* base = options_.delta_registry->find_base(
-            memo_space->input_ranks, memo_space->output_ranks)) {
-      const Bdd base_chi =
-          import_canonical_bdd(root_mgr, *memo_space, *base);
-      root_delta =
-          root_mgr.serialize_bdd(root_.characteristic() ^ base_chi);
     }
   }
 
@@ -569,9 +448,6 @@ SolveResult ParallelEngine::run() {
                                        root_.outputs(), std::move(chi)));
   }
 
-  const MemoRunStamp memo_stamp = options_.global_memo != nullptr
-                                      ? options_.global_memo->begin_run()
-                                      : MemoRunStamp{};
   SharedState shared(count);
   std::vector<WorkerOutcome> outcomes(count);
   std::vector<std::exception_ptr> failures(count);
@@ -583,9 +459,8 @@ SolveResult ParallelEngine::run() {
       threads.emplace_back([&, w] {
         managers[w]->bind_to_current_thread();
         try {
-          run_worker(w, *managers[w], *roots[w], options_, start,
-                     memo_stamp, root_delta ? &*root_delta : nullptr,
-                     shared, outcomes[w]);
+          run_worker(w, *managers[w], *roots[w], options_, start, shared,
+                     outcomes[w]);
         } catch (...) {
           failures[w] = std::current_exception();
           shared.halt();
@@ -653,45 +528,17 @@ SolveResult ParallelEngine::run() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  // Depth-indexed completeness marking, mirroring SearchEngine::run (the
-  // per-worker key lists only become safe to publish once the fleet-wide
-  // outcome is known).  Taints are fleet-global — a bound prune in
-  // worker A invalidates a chain that may continue in worker B's stolen
-  // work — so the per-worker touched lists and taint sets are unioned
-  // before make_memo_marks.  Key identity survives migration: chains
-  // travel through the injection queue as shared_ptr copies, never
-  // re-serialized, so one canonical key stays one object fleet-wide.
-  if (options_.global_memo != nullptr && !result.stats.budget_exhausted) {
-    std::vector<SearchContext::MemoTouch> touched;
-    std::unordered_set<const LazyMemoKey*> hard_tainted;
-    std::unordered_set<const LazyMemoKey*> soft_tainted;
-    for (WorkerOutcome& outcome : outcomes) {
-      touched.insert(touched.end(),
-                     std::make_move_iterator(outcome.memo_touched.begin()),
-                     std::make_move_iterator(outcome.memo_touched.end()));
-      hard_tainted.insert(outcome.memo_hard_tainted.begin(),
-                          outcome.memo_hard_tainted.end());
-      soft_tainted.insert(outcome.memo_soft_tainted.begin(),
-                          outcome.memo_soft_tainted.end());
-    }
-    if (!touched.empty()) {
-      // touched.front() is worker 0's root key (pushed before any child
-      // anywhere — the other workers start empty).
-      const std::vector<MemoMark> marks = make_memo_marks(
-          touched, hard_tainted, soft_tainted,
-          options_.max_depth == static_cast<std::size_t>(-1),
-          touched.front().key.get(), result.stats.fifo_overflow == 0);
-      options_.global_memo->mark_complete(std::span<const MemoMark>(marks),
-                                          memo_stamp);
-      if (options_.delta_registry != nullptr &&
-          result.stats.fifo_overflow == 0) {
-        // The root entry is now marked: this run's relation becomes the
-        // freshest base for the next nearly-identical request.  The
-        // coordinator's handle materializes here at the latest (this
-        // thread owns the root manager, so the build is legal).
-        options_.delta_registry->remember(root_key->get());
-      }
-    }
+  // Publish-once, mirroring SearchEngine::run: only a drained fleet (no
+  // budget or timeout stop, no frontier-overflow drop in any worker)
+  // publishes, and it publishes exactly what it returns: the winner's
+  // rank form (set for every non-empty incumbent, and comparable here
+  // because every worker mirrors the coordinator's variable layout).
+  // The root handle materializes on this thread, which owns the root
+  // manager.
+  if (options_.global_memo != nullptr && !result.stats.budget_exhausted &&
+      result.stats.fifo_overflow == 0) {
+    publish_root_result(*options_.global_memo, root_key,
+                        *outcomes[winner].best_portable);
   }
 
   // Transfer the winning solution back into the caller's manager.

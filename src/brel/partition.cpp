@@ -25,8 +25,7 @@ SolveResult solve_partitioned(const BooleanRelation& r,
   // Delta classification at block granularity: diff against the
   // registry's base for the FULL relation's spaces.  The delta never
   // decides anything — clean blocks are served (or not) by their own
-  // content-keyed root probes — it only explains the reuse in the stats,
-  // exactly like the subtree-level overlay in search.cpp.
+  // content-keyed root probes — it only explains the reuse in the stats.
   Bdd delta;
   std::shared_ptr<const MemoSpace> memo_space;
   MemoKeyHandle root_key;
@@ -112,8 +111,8 @@ SolveResult solve_partitioned(const BooleanRelation& r,
   result.cost = cost(result.function);
 
   // This run becomes the next base for its spaces — same drain condition
-  // as the engine's (an interrupted run must not anchor future diffs to
-  // a composition of degraded block results).
+  // as the engines' root publish (an interrupted run must not anchor
+  // future diffs to a composition of degraded block results).
   if (root_key != nullptr && !stats.budget_exhausted &&
       stats.fifo_overflow == 0) {
     options.delta_registry->remember(root_key->get());

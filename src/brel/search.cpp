@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -46,20 +48,12 @@ double sanitize_priority(double cost) noexcept {
 /// QuickSolver safety net, optional best-first priority seeding, frontier
 /// push.  `parent` supplies the symmetry depth gate (exactly like the
 /// original loop) and the ancestor chain for solution memoization.
-/// `delta` is the child's incremental change-region cofactor (null when
-/// no delta is tracked this run; see delta_context.hpp).  Every cut that
-/// is not a pure function of (characteristic, remaining depth) taints
-/// the affected ancestor chain so the completeness marks stay honest
-/// (see SearchContext's taint sets).
-void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
+void enqueue_child(SearchContext& ctx, BooleanRelation&& child,
                    const Subproblem& parent, Frontier& frontier) {
   if (ctx.symmetries.has_value() &&
       parent.depth < ctx.options.symmetry_depth &&
       ctx.symmetries->seen_before_or_insert(child.characteristic())) {
     ++ctx.stats.pruned_by_symmetry;
-    // The symmetric twin's solutions surface in ANOTHER subtree: every
-    // relation on this chain loses them, so none is subtree-final.
-    ctx.taint_hard(parent.memo_chain);
     return;
   }
   // Dedup re-encounters (only possible across solves sharing the cache —
@@ -74,84 +68,16 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
     if (prior != nullptr && prior->has_solution()) {
       ++ctx.stats.pruned_by_cache;
       ++ctx.stats.solutions_seen;
-      // The memo (if any) must see this solution for the ancestors too —
-      // the branch is pruned, so nothing below will publish for them.
-      ctx.publish_to_memo(parent.memo_chain, prior->best, prior->cost);
       ctx.offer_solution(prior->best, prior->cost);
-      // A cached best reflects however deeply an EARLIER solve explored
-      // this subtree — not provably subtree-final for this run's budget.
-      ctx.taint_hard(parent.memo_chain);
       return;
     }
   }
 
-  // Global-memo probe: the manager-independent analogue of the block
-  // above, recognizing subtrees first explored by *other* managers
-  // (pool workers, earlier solves).  A hit imports the memoized best
-  // into our manager and prunes the branch — the same Property 5.1
-  // argument, and like the local cache every published entry carries at
-  // least its quick solution (record_solution below), so a hit is never
-  // worse than the safety net.  In-tree self-hits are impossible
-  // (Property 5.4 again: the key is a faithful image of the
-  // characteristic), so a cold solve is unaffected by an empty memo.
-  // The probe is HASH-ONLY (make_memo_handle): a miss costs one cached
-  // structural-hash walk and serializes nothing; only a candidate hit
-  // (or the publishes below) ever builds the canonical key.
-  const std::size_t child_depth = parent.depth + 1;
-  const bool delta_untouched = !delta.is_null() && delta.is_zero();
-  MemoKeyHandle memo_key;
-  if (ctx.memo_active(child_depth)) {
-    memo_key = make_memo_handle(ctx.memo_space_ref, child.characteristic());
-    ctx.memo_touched.push_back({memo_key, child_depth});
-    // lookup_at() only surfaces COMPLETE entries whose claim covers this
-    // depth (subtrees some run of this configuration explored to its
-    // natural end, or truncated exactly as our depth budget would), so a
-    // truncated run's partial publishes can never prune us.
-    if (const std::optional<MemoHit> hit = ctx.memo->lookup_at(
-            memo_key, ctx.memo_probe_depth(child_depth))) {
-      ++ctx.stats.memo_hits;
-      ++ctx.stats.solutions_seen;
-      if (ctx.delta_active && delta_untouched) {
-        // The incremental path's payoff: a zero change cofactor proved
-        // this subproblem byte-identical to the base run's, and its
-        // marked entry pruned the whole re-search.
-        ++ctx.stats.delta_reused;
-      }
-      if (hit->depth_truncated) {
-        // Importing a depth-truncated result truncates US: ancestors may
-        // only claim truncated completeness from here on.
-        ctx.taint_soft(parent.memo_chain);
-        ctx.memo_soft_tainted.insert(memo_key.get());
-      }
-      // Propagate the hit up the chain: the pruned branch's ancestors
-      // (this run's root included) must memoize at least this well.
-      // Chain handles were verified at their own publish/probe, so each
-      // republish is a token compare — no key work.
-      for (const MemoKeyHandle& key : parent.memo_chain) {
-        ctx.memo->publish(key, hit->solution, ctx.memo_stamp.run_id);
-      }
-      ctx.offer_solution(
-          import_portable_solution(ctx.mgr, *ctx.memo_space, hit->solution),
-          hit->solution.cost);
-      return;
-    }
-  }
-
-  Subproblem sub{std::move(child), child_depth};
-  sub.delta = std::move(delta);
+  Subproblem sub{std::move(child), parent.depth + 1};
   if (ctx.cache != nullptr) {
     sub.ancestors = parent.ancestors;
     sub.ancestors.push_back(sub.rel.characteristic().raw_edge());
   }
-  if (ctx.memo != nullptr) {
-    // Deeper-than-gate children still inherit the chain: a solution found
-    // below the gate must memoize to its shallow ancestors.
-    sub.memo_chain = parent.memo_chain;
-    if (memo_key != nullptr) {
-      sub.memo_chain.push_back(std::move(memo_key));
-    }
-  }
-
   // Sec. 7.6: every generated subrelation is quick-solved immediately, so
   // a solution from this branch survives even if the child is never
   // popped (frontier overflow, budget, timeout).
@@ -161,14 +87,10 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
   const double qc = ctx.cost(q);
   ctx.record_solution(sub, std::move(q), qc);
 
-  if (ctx.delta_active) {
-    ++ctx.stats.delta_researched;
-  }
   seed_priority(ctx, sub, frontier);
   if (!frontier.try_push(std::move(sub))) {
-    // The dropped child's subtree is lost to every relation on its
-    // chain; only the QuickSolver result above survives.
-    ctx.taint_hard(sub.memo_chain);
+    // The dropped child's subtree is lost; only the QuickSolver result
+    // above survives.
     ++ctx.stats.fifo_overflow;
   }
 }
@@ -223,70 +145,21 @@ void SearchContext::offer_solution(MultiFunction f) {
   offer_solution(std::move(f), solution_cost);
 }
 
-void SearchContext::publish_to_memo(std::span<const MemoKeyHandle> chain,
-                                    const MultiFunction& f,
-                                    double solution_cost) {
-  if (memo == nullptr || chain.empty()) {
-    return;
-  }
-  const PortableSolution portable =
-      make_portable_solution(*memo_space, f, solution_cost);
-  for (const MemoKeyHandle& key : chain) {
-    memo->publish(key, portable, memo_stamp.run_id);
-  }
-}
-
 void SearchContext::record_solution(const Subproblem& from, MultiFunction f,
                                     double solution_cost) {
   if (cache != nullptr) {
     cache->improve(from.ancestors, f, solution_cost);
   }
-  publish_to_memo(from.memo_chain, f, solution_cost);
   offer_solution(std::move(f), solution_cost);
 }
 
-void SearchContext::taint_hard(std::span<const MemoKeyHandle> chain) {
-  for (const MemoKeyHandle& key : chain) {
-    memo_hard_tainted.insert(key.get());
-  }
-}
-
-void SearchContext::taint_soft(std::span<const MemoKeyHandle> chain) {
-  for (const MemoKeyHandle& key : chain) {
-    memo_soft_tainted.insert(key.get());
-  }
-}
-
-std::vector<MemoMark> make_memo_marks(
-    std::span<const SearchContext::MemoTouch> touched,
-    const std::unordered_set<const LazyMemoKey*>& hard_tainted,
-    const std::unordered_set<const LazyMemoKey*>& soft_tainted,
-    bool unlimited_depth, const LazyMemoKey* root_key, bool allow_root) {
-  std::vector<MemoMark> marks;
-  marks.reserve(touched.size());
-  // Marks carry materialized keys (the once-per-run cold path).  Every
-  // handle that can match a store entry was materialized at its first
-  // publish or verified hit, so shared_key() is a plain read here.
-  for (const SearchContext::MemoTouch& t : touched) {
-    if (hard_tainted.count(t.key.get()) == 0) {
-      if (soft_tainted.count(t.key.get()) != 0) {
-        marks.push_back(MemoMark{t.key->shared_key(),
-                                 static_cast<std::uint64_t>(t.depth), true});
-      } else {
-        marks.push_back(MemoMark{
-            t.key->shared_key(),
-            unlimited_depth ? GlobalMemo::kAnyDepth
-                            : static_cast<std::uint64_t>(t.depth),
-            false});
-      }
-    } else if (t.key.get() == root_key && allow_root) {
-      // Root exception (see the protocol in global_memo.hpp): whatever
-      // cut the run's subtrees, the root entry IS the returned result —
-      // truncated-at-0 serves exactly a re-solve of the same relation.
-      marks.push_back(MemoMark{t.key->shared_key(), 0, true});
-    }
-  }
-  return marks;
+void publish_root_result(GlobalMemo& memo, const MemoKeyHandle& root_key,
+                         const PortableSolution& solution) {
+  const MemoRunStamp stamp = memo.begin_run();
+  memo.publish(root_key, solution, stamp.run_id);
+  // The publish materialized the handle, so shared_key() is a plain read.
+  const MemoMark mark{root_key->shared_key(), 0, true};
+  memo.mark_complete(std::span<const MemoMark>(&mark, 1), stamp);
 }
 
 CacheFingerprint make_cache_fingerprint(const BooleanRelation& root,
@@ -381,10 +254,6 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
   if (!ctx.options.exact && ctx.options.use_cost_bound &&
       candidate_cost >= ctx.bound_cost) {
     ++ctx.stats.pruned_by_cost;
-    // The bound depends on exploration order, not on this subproblem:
-    // everything on the chain lost this subtree's solutions for a reason
-    // no later prober can reproduce from the key alone.
-    ctx.taint_hard(item.memo_chain);
     return;
   }
 
@@ -406,10 +275,6 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
     }
     if (depth_capped) {
       ++ctx.stats.depth_limited;
-      // Depth-cap cuts are a pure function of (characteristic, remaining
-      // budget): the chain's entries stay exact for probers at the SAME
-      // depths — truncated, not unmarkable (see the taint sets).
-      ctx.taint_soft(item.memo_chain);
       return;
     }
     // Exact mode: the branch may still hide cheaper functions; keep
@@ -423,35 +288,17 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
     ++ctx.stats.conflicts;
     if (depth_capped) {
       ++ctx.stats.depth_limited;
-      ctx.taint_soft(item.memo_chain);
       return;
     }
     choice = select_conflict_split(ctx, rel, incomp);
   }
 
   // Lines 11-12: both halves enter the frontier through the caches and
-  // the QuickSolver safety net.  When a delta is tracked, Split
-  // constrains base and new relation identically, so constraining the
-  // parent's XOR with the same removals yields each child's XOR
-  // (BooleanRelation::split_removals); a delta already at zero stays
-  // zero without touching the kernels.
+  // the QuickSolver safety net.
   ++ctx.stats.splits;
   auto [r0, r1] = rel.split(choice->vertex, choice->output);
-  Bdd delta0;
-  Bdd delta1;
-  if (!item.delta.is_null()) {
-    if (item.delta.is_zero()) {
-      delta0 = item.delta;
-      delta1 = item.delta;
-    } else {
-      const auto [removed0, removed1] =
-          rel.split_removals(choice->vertex, choice->output);
-      delta0 = item.delta & !removed0;
-      delta1 = item.delta & !removed1;
-    }
-  }
-  enqueue_child(ctx, std::move(r0), std::move(delta0), item, frontier);
-  enqueue_child(ctx, std::move(r1), std::move(delta1), item, frontier);
+  enqueue_child(ctx, std::move(r0), item, frontier);
+  enqueue_child(ctx, std::move(r1), item, frontier);
 }
 
 SearchEngine::SearchEngine(const BooleanRelation& root,
@@ -490,17 +337,13 @@ SearchEngine::SearchEngine(const BooleanRelation& root,
   // The rank space is built unconditionally: besides keying the memo it
   // anchors the canonical equal-cost tie order, which must be identical
   // between memo-less and memo-backed runs of the same relation.  No
-  // KEYS (and no hashes) are ever built on memo-less runs, though — the
-  // rank tables are the only canonical-form work they pay for.
+  // KEY (and no hash) is ever built on memo-less runs, though — the rank
+  // tables are the only canonical-form work they pay for.
   memo_space_ = std::make_shared<const MemoSpace>(make_memo_space(root_));
   ctx_.tie_space = memo_space_.get();
   if (options_.global_memo != nullptr) {
-    memo_ = options_.global_memo;
-    memo_->bind(MemoFingerprint{ctx_.cost.id(), options_.exact});
-    ctx_.memo = memo_.get();
-    ctx_.memo_space = memo_space_.get();
-    ctx_.memo_space_ref = memo_space_;
-    ctx_.memo_stamp = memo_->begin_run();
+    options_.global_memo->bind(
+        MemoFingerprint{ctx_.cost.id(), options_.exact});
   }
 }
 
@@ -531,29 +374,23 @@ SolveResult SearchEngine::run() {
     (void)ctx_.cache->seen_before_or_insert(root_.characteristic());
     root_item.ancestors.push_back(root_.characteristic().raw_edge());
   }
-  if (ctx_.memo_active(0)) {
-    // Root probe of the cross-solve memo: a warm re-solve of an
-    // identical relation (same canonical serialized form and spaces)
-    // returns the memoized best immediately — first-run quality at zero
-    // exploration.  On a miss the root key seeds every descendant's
-    // publish chain, so by the end of this run the memo's root entry
-    // equals the returned incumbent.
-    MemoKeyHandle root_key =
-        make_memo_handle(memo_space_, root_.characteristic());
-    ctx_.memo_touched.push_back({root_key, 0});
+  GlobalMemo* const memo = options_.global_memo.get();
+  MemoKeyHandle root_key;
+  if (memo != nullptr) {
+    // Root probe of the cross-solve memo, the only memo traffic of a
+    // run: a warm re-solve of an identical relation (same canonical
+    // serialized form and spaces) returns the memoized answer
+    // immediately — first-run quality at zero exploration.  The probe is
+    // hash-only, so a miss serializes nothing; the handle is kept for the
+    // end-of-run publish.
+    root_key = make_memo_handle(memo_space_, root_.characteristic());
     if (const std::optional<PortableSolution> entry =
-            ctx_.memo->lookup(root_key)) {
+            memo->lookup(root_key)) {
       ++ctx_.stats.memo_hits;
       ++ctx_.stats.solutions_seen;
-      if (options_.delta_registry != nullptr) {
-        // A served root is as good as a drained one for the next diff:
-        // its interior entries are whatever its producing run marked.
-        // The hit verified the handle, so get() is already built.
-        options_.delta_registry->remember(root_key->get());
-      }
       SolveResult result;
       result.function =
-          import_portable_solution(ctx_.mgr, *ctx_.memo_space, *entry);
+          import_portable_solution(ctx_.mgr, *memo_space_, *entry);
       result.cost = entry->cost;
       ctx_.stats.runtime_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -561,25 +398,6 @@ SolveResult SearchEngine::run() {
               .count();
       result.stats = ctx_.stats;
       return result;
-    }
-    root_item.memo_chain.push_back(std::move(root_key));
-  }
-
-  // Incremental delta (delta_context.hpp): on a root miss, diff against
-  // the registry's most recent base over the same variable spaces and
-  // carry the change region down the decomposition.  Purely an overlay —
-  // reuse itself happens through the ordinary memo probes above.
-  if (options_.delta_registry != nullptr && !root_item.memo_chain.empty()) {
-    // Signature-only base probe (the rank lists live in the memo space)
-    // — learning whether a base exists must not materialize the root
-    // key the memo miss above deliberately left hash-only.
-    if (const SerializedBdd* base = options_.delta_registry->find_base(
-            memo_space_->input_ranks, memo_space_->output_ranks)) {
-      const Bdd base_chi =
-          import_canonical_bdd(ctx_.mgr, *ctx_.memo_space, *base);
-      root_item.delta = root_.characteristic() ^ base_chi;
-      ctx_.delta_active = true;
-      ctx_.stats.delta_active = true;
     }
   }
 
@@ -614,12 +432,6 @@ SolveResult SearchEngine::run() {
   if (ctx_.cache != nullptr) {
     ctx_.cache->improve(root_item.ancestors, quick, quick_cost);
   }
-  if (ctx_.memo != nullptr && !root_item.memo_chain.empty()) {
-    ctx_.memo->publish(root_item.memo_chain.front(),
-                       make_portable_solution(*ctx_.memo_space, quick,
-                                              quick_cost),
-                       ctx_.memo_stamp.run_id);
-  }
   ctx_.best_cost = quick_cost;
   ctx_.best = std::move(quick);
 
@@ -640,32 +452,18 @@ SolveResult SearchEngine::run() {
     expand_subproblem(ctx_, frontier_->pop(), *frontier_);
   }
 
-  // Depth-indexed completeness marking (see global_memo.hpp).  An
-  // interrupted run (budget/timeout stop) marks nothing — a later
-  // identical solve must re-explore rather than inherit the degraded
-  // result forever.  A drained run marks per subtree: untainted keys
-  // naturally complete at their depth, depth-cap-truncated keys
-  // truncated at theirs, hard-tainted keys not at all — except the
-  // root, which is exactly what this solve returned and is marked
-  // truncated-at-0 unless children were dropped to frontier overflow
-  // (make_memo_marks).
-  if (ctx_.memo != nullptr && !ctx_.stats.budget_exhausted &&
-      !ctx_.memo_touched.empty()) {
-    // memo_touched.front() is the root key (pushed before any child).
-    const std::vector<MemoMark> marks = make_memo_marks(
-        ctx_.memo_touched, ctx_.memo_hard_tainted, ctx_.memo_soft_tainted,
-        options_.max_depth == static_cast<std::size_t>(-1),
-        ctx_.memo_touched.front().key.get(),
-        ctx_.stats.fifo_overflow == 0);
-    ctx_.memo->mark_complete(std::span<const MemoMark>(marks),
-                             ctx_.memo_stamp);
-    if (options_.delta_registry != nullptr &&
-        ctx_.stats.fifo_overflow == 0) {
-      // The root entry is now marked: this run's relation becomes the
-      // freshest base for the next nearly-identical request.  The root
-      // key was materialized by its quick-solution publish above.
-      options_.delta_registry->remember(ctx_.memo_touched.front().key->get());
-    }
+  // Publish-once (see publish_root_result): an interrupted run (budget or
+  // timeout stop) or one that dropped children to frontier overflow
+  // publishes nothing, so a later identical solve re-explores rather than
+  // inheriting a degraded result forever.
+  if (memo != nullptr && !ctx_.stats.budget_exhausted &&
+      ctx_.stats.fifo_overflow == 0) {
+    publish_root_result(
+        *memo, root_key,
+        ctx_.best_portable.has_value()
+            ? *ctx_.best_portable
+            : make_portable_solution(*memo_space_, ctx_.best,
+                                     ctx_.best_cost));
   }
 
   ctx_.stats.reorders = static_cast<std::size_t>(

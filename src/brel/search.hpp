@@ -10,6 +10,7 @@
 ///          ├─ Frontier            exploration order (frontier.hpp)
 ///          ├─ SubproblemCache     whole-tree dedup (subproblem_cache.hpp)
 ///          ├─ SymmetryCache       near-root symmetry pruning (symmetry.hpp)
+///          ├─ GlobalMemo          whole-answer cache, root only (below)
 ///          └─ SearchContext       incumbent / bound / stats / deadline
 ///
 /// `SearchContext` carries everything one expansion needs: the manager,
@@ -23,17 +24,24 @@
 /// operations of the original monolithic loop, in the same order, so
 /// results are bit-identical; best-first additionally precomputes each
 /// child's MISF candidate at push time to order the frontier by it.
+///
+/// The cross-solve memo (SolverOptions::global_memo) is a cache of whole
+/// answers.  Every node of one search tree is a distinct subrelation
+/// (Property 5.4), so within a run the memo can never hit; across runs,
+/// service traffic repeats whole requests, not subtrees.  The engines
+/// therefore probe the memo once, at the root, and on a miss search with
+/// no memo traffic at all; a drained run publishes its returned result
+/// under the root key once (publish_root_result), and an interrupted run
+/// publishes nothing.
 
 #include <chrono>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "brel/frontier.hpp"
+#include "brel/global_memo.hpp"
 #include "brel/solver.hpp"
 #include "brel/subproblem_cache.hpp"
 #include "brel/symmetry.hpp"
@@ -67,15 +75,6 @@ struct SearchContext {
   /// null when disabled.
   SubproblemCache* cache = nullptr;
 
-  /// Cross-solve memo (SolverOptions::global_memo); null when disabled.
-  /// `memo_space` carries the rank tables of the current root relation
-  /// and is non-null whenever `memo` is.  `memo_space_ref` shares
-  /// ownership of the SAME space for make_memo_handle (HASHED handles
-  /// keep the space alive until they materialize); set iff `memo` is.
-  GlobalMemo* memo = nullptr;
-  const MemoSpace* memo_space = nullptr;
-  std::shared_ptr<const MemoSpace> memo_space_ref = {};
-
   /// Rank space for the canonical equal-cost tie order (see
   /// canonically_before).  The engines always set it — memo or not — so
   /// a cold memo-less run and a memo-served warm run break every tie
@@ -85,71 +84,7 @@ struct SearchContext {
   const MemoSpace* tie_space = nullptr;
   std::optional<PortableSolution> best_portable = {};
 
-  /// This run's memo identity (GlobalMemo::begin_run), threaded through
-  /// every publish so the final mark_complete can tell its own entries
-  /// from a concurrent run's re-creations (see MemoRunStamp).
-  MemoRunStamp memo_stamp = {};
-
-  /// One memo key this run created, with the split depth it was created
-  /// at — the raw material of the per-subtree completeness marks (see
-  /// the protocol in global_memo.hpp).  The handle may still be HASHED
-  /// when the probe missed and nothing ever published it; every key
-  /// that reaches a publish or a verified hit is materialized by then.
-  struct MemoTouch {
-    MemoKeyHandle key;
-    std::size_t depth = 0;
-  };
-
-  /// Every memo key this run created (root first, then generated
-  /// children within the depth gate).  A run that ends at its natural
-  /// frontier drain — no budget/timeout stop — turns the list into
-  /// depth-indexed MemoMarks (filtered through the taint sets below)
-  /// for GlobalMemo::mark_complete; an interrupted run leaves every
-  /// entry invisible.
-  std::vector<MemoTouch> memo_touched = {};
-
-  /// Taint tracking for the per-subtree completeness marks.  A key is
-  /// HARD-tainted when its subtree lost solutions to a cut whose result
-  /// is not a pure function of (characteristic, remaining depth) — a
-  /// cost-bound prune, a symmetry or subproblem-cache prune, a
-  /// frontier-overflow drop — and must not be marked at all.  A key is
-  /// SOFT-tainted when its subtree was cut only by the depth cap
-  /// (directly, or by importing a depth-truncated memo entry): its
-  /// entry is still exact for a prober at the same depth and is marked
-  /// depth-truncated.  Tracked by raw handle address: within one run
-  /// each canonical key is one shared LazyMemoKey (chains copy
-  /// shared_ptrs), and the pointers are kept alive by memo_touched.
-  std::unordered_set<const LazyMemoKey*> memo_hard_tainted = {};
-  std::unordered_set<const LazyMemoKey*> memo_soft_tainted = {};
-
-  /// Incremental delta (delta_context.hpp): true while this run diffs
-  /// against a remembered base relation and Subproblem::delta carries
-  /// change-region cofactors (mirrored into stats.delta_active).
-  bool delta_active = false;
-
   [[nodiscard]] bool timed_out() const;
-
-  /// Whether global-memo traffic is enabled for a node at `depth`.
-  [[nodiscard]] bool memo_active(std::size_t depth) const noexcept {
-    return memo != nullptr && depth <= options.global_memo_depth;
-  }
-
-  /// The depth to probe the memo at for a node at `depth`: with a finite
-  /// depth cap an entry is only valid relative to the prober's remaining
-  /// budget, so the true depth is passed; without a cap every naturally
-  /// complete entry is exact anywhere and probing at 0 also admits
-  /// root-truncated entries (the legacy warm-root fast path).
-  [[nodiscard]] std::uint64_t memo_probe_depth(std::size_t depth)
-      const noexcept {
-    return options.max_depth == static_cast<std::size_t>(-1)
-               ? 0
-               : static_cast<std::uint64_t>(depth);
-  }
-
-  /// Hard/soft-taint every key on `chain` (see the taint sets above).
-  void taint_hard(std::span<const MemoKeyHandle> chain);
-  void taint_soft(std::span<const MemoKeyHandle> chain);
-
 
   /// Offer a compatible solution to the incumbent (does not touch the
   /// bound).  The one-argument form evaluates the cost function itself.
@@ -157,36 +92,22 @@ struct SearchContext {
   void offer_solution(MultiFunction f);
 
   /// Offer a solution AND memoize it for every subrelation on the
-  /// discovering node's ancestor chains — the edge chain feeds the
-  /// manager-local subproblem cache, the serialized-key chain feeds the
-  /// global memo (Property 5.1 justifies both attributions).
+  /// discovering node's cache chain (Property 5.1 justifies the
+  /// attribution to every ancestor).
   void record_solution(const Subproblem& from, MultiFunction f,
                        double solution_cost);
-
-  /// Publish `f` to the global memo for every key on `chain` (no-op
-  /// when the memo is off or the chain is empty).  Used by
-  /// record_solution and by the prune paths that offer a cached/memoized
-  /// solution: the offer is valid for the whole ancestor chain, so the
-  /// ancestors' memo entries must see it too — otherwise a warm re-solve
-  /// at the root could return a worse cost than the run that warmed it.
-  void publish_to_memo(std::span<const MemoKeyHandle> chain,
-                       const MultiFunction& f, double solution_cost);
 };
 
-/// Turn touched keys + taint sets into depth-indexed completeness marks
-/// (see the protocol in global_memo.hpp): untainted keys are naturally
-/// complete at their depth (kAnyDepth when `unlimited_depth`),
-/// soft-tainted keys are depth-truncated at their depth, hard-tainted
-/// keys are skipped — except `root_key` (the run's root), which is
-/// exactly what the run returned and is marked truncated-at-0 whenever
-/// `allow_root` (no frontier-overflow drops anywhere in the run).
-/// Shared by the serial engine and the parallel coordinator (which
-/// passes fleet-unioned taint sets).
-[[nodiscard]] std::vector<MemoMark> make_memo_marks(
-    std::span<const SearchContext::MemoTouch> touched,
-    const std::unordered_set<const LazyMemoKey*>& hard_tainted,
-    const std::unordered_set<const LazyMemoKey*>& soft_tainted,
-    bool unlimited_depth, const LazyMemoKey* root_key, bool allow_root);
+/// Publish a drained run's returned result under its root key, once, and
+/// mark it root-exact (depth-truncated at 0; see the protocol in
+/// global_memo.hpp): whatever cut the run's subtrees, the entry IS what
+/// the run returned, so it serves exactly a re-solve of the same relation
+/// under the same configuration.  The engines call this only when the run
+/// drained — no budget or timeout stop and no frontier-overflow drop — so
+/// a partial result is never published at all.  Shared by the serial
+/// engine and the parallel coordinator.
+void publish_root_result(GlobalMemo& memo, const MemoKeyHandle& root_key,
+                         const PortableSolution& solution);
 
 /// The comparability stamp the engines bind their caches with (see
 /// CacheFingerprint): the resolved cost identity, the exploration mode,
@@ -261,7 +182,6 @@ class SearchEngine {
   const BooleanRelation root_;
   const SolverOptions options_;
   std::shared_ptr<SubproblemCache> cache_;  ///< keeps a shared cache alive
-  std::shared_ptr<GlobalMemo> memo_;        ///< keeps a shared memo alive
   /// Rank tables for this root — shared because HASHED key handles hold
   /// a reference until they materialize.
   std::shared_ptr<const MemoSpace> memo_space_;

@@ -121,23 +121,18 @@ struct SolverOptions {
   /// in the same BddManager.
   std::shared_ptr<SubproblemCache> subproblem_cache;
 
-  /// Cross-solve memo keyed by the canonical *serialized* subproblem form
-  /// (global_memo.hpp) — unlike `subproblem_cache` it is manager-
-  /// independent, so it can be shared between solves in different
-  /// managers (parallel workers, pool worker slots) and across process
-  /// lifetimes of any one manager.  Hits import the memoized solution
-  /// into the prober's manager instead of re-exploring; every discovered
-  /// solution is published for its whole ancestor chain.  The memo is
-  /// stamped with the cost/mode fingerprint at first use and rejects
-  /// mismatched reuse.  Null disables the memo.
+  /// Cross-solve memo of whole answers, keyed by the canonical
+  /// *serialized* relation form (global_memo.hpp) — unlike
+  /// `subproblem_cache` it is manager-independent, so it can be shared
+  /// between solves in different managers (parallel workers, pool worker
+  /// slots) and across process lifetimes of any one manager.  The engines
+  /// probe it once, at the root: a hit imports the memoized answer into
+  /// the prober's manager and explores nothing; a run that drains (no
+  /// budget or timeout stop, no frontier-overflow drop) publishes its
+  /// returned result under the root key once.  The memo is stamped with
+  /// the cost/mode fingerprint at first use and rejects mismatched reuse.
+  /// Null disables the memo.
   std::shared_ptr<GlobalMemo> global_memo;
-
-  /// Probe/publish the global memo only for nodes at split depth <= this
-  /// bound.  Memo traffic costs one BDD serialization per child (the
-  /// price of manager independence), which is wasted on deep, tiny
-  /// subproblems; near the root the subtrees are large and re-encounters
-  /// across solves are most valuable.  Unlimited by default.
-  std::size_t global_memo_depth = static_cast<std::size_t>(-1);
 
   /// Subproblems a victim donates per steal request (parallel engine
   /// only).  Each donation serializes up to this many frontier picks into
@@ -175,16 +170,14 @@ struct SolverOptions {
   /// re-sifts" observable at small sizes.
   std::size_t reorder_trigger = 1u << 16;
 
-  /// Incremental re-solve (delta_context.hpp): when set (non-owning; the
-  /// caller's registry must outlive the run and belong to the calling
-  /// thread), a run whose root misses the global memo diffs its relation
-  /// against the registry's most recent base over the same variable
-  /// spaces and carries the XOR change region down the decomposition —
-  /// untouched subtrees (zero delta cofactor) are exactly the base run's
-  /// subproblems, so their depth-indexed memo entries serve without
-  /// re-search, and SolverStats reports the reused/re-searched counts.
-  /// Every naturally drained (or root-hit) run then remembers its own
-  /// root as the next base.  Requires `global_memo`; ignored without it.
+  /// Incremental re-solve of the partitioned path (partition.hpp,
+  /// delta_context.hpp): when set together with `partition_inputs` and
+  /// `global_memo` (non-owning; the caller's registry must outlive the
+  /// run and belong to the calling thread), solve_partitioned diffs the
+  /// relation against the registry's most recent base over the same
+  /// variable spaces and reports the clean/dirty blocks in SolverStats;
+  /// every drained partitioned run remembers its own relation as the next
+  /// base.  The plain engines ignore it.
   DeltaRegistry* delta_registry = nullptr;
 
   /// Delta-localization pre-split (partition.hpp): when > 0, solve() first
@@ -213,7 +206,7 @@ struct SolverStats {
   std::size_t pruned_by_cost = 0;      ///< line-6 bound rejections
   std::size_t pruned_by_symmetry = 0;  ///< symmetric subrelations skipped
   std::size_t pruned_by_cache = 0;     ///< duplicate subrelations deduped
-  std::size_t memo_hits = 0;           ///< subtrees served by the global memo
+  std::size_t memo_hits = 0;           ///< roots served by the global memo
   std::size_t fifo_overflow = 0;       ///< children dropped (frontier full)
   std::size_t depth_limited = 0;       ///< splits suppressed by max_depth
   std::size_t solutions_seen = 0;      ///< compatible functions encountered
@@ -222,11 +215,12 @@ struct SolverStats {
   std::size_t steal_batches = 0;       ///< donation batches through the queue
   std::size_t reorders = 0;            ///< sifting passes during this run
   std::size_t reorder_swaps = 0;       ///< adjacent-level swaps those made
-  /// Incremental-delta classification (delta_context.hpp); all zero when
-  /// no base relation was available for this run.
+  /// Incremental-delta classification of a partitioned solve
+  /// (partition.hpp); all zero when no base relation was available or
+  /// the solve was not partitioned.
   bool delta_active = false;           ///< a base was found and diffed
-  std::size_t delta_reused = 0;        ///< untouched subtrees served by memo
-  std::size_t delta_researched = 0;    ///< subtrees re-entered the frontier
+  std::size_t delta_reused = 0;        ///< blocks the edit left untouched
+  std::size_t delta_researched = 0;    ///< blocks the edit changed
   bool budget_exhausted = false;       ///< stopped on max_relations/timeout
   /// Time threads of this run spent BLOCKED on the memo/injection locks
   /// (lock_stats.hpp), in ns.  Best effort: the underlying registry is

@@ -203,14 +203,11 @@ struct SolverPool::Impl {
       slot_cache = std::make_shared<SubproblemCache>(
           options.solver.subproblem_cache_capacity);
     }
-    // Incremental base retention (PoolOptions::incremental): slot-
-    // private and thread-confined like the cache above, but — holding
-    // only plain serialized data — it SURVIVES the per-request
-    // variable-block recycle, which is exactly what makes warm delta
-    // re-solves work across requests.  The DELTA path needs the memo
-    // (reuse flows through marked memo entries); the registry's ORDER
-    // memory works memo-less, so the registry exists whenever
-    // incremental is on.
+    // Order memory (PoolOptions::incremental): slot-private and
+    // thread-confined like the cache above, but — holding only plain
+    // rank-form data — it SURVIVES the per-request variable-block
+    // recycle, which is what lets a repeat request start at the order
+    // the slot's previous same-signature solve sifted into.
     std::optional<DeltaRegistry> slot_registry;
     if (resolve_incremental(options.incremental)) {
       slot_registry.emplace();
@@ -302,9 +299,6 @@ struct SolverPool::Impl {
               solve_options.cost ? solve_options.cost
                                  : sum_of_bdd_sizes()));
           solve_options.subproblem_cache = slot_cache;
-        }
-        if (slot_registry.has_value() && memo != nullptr) {
-          solve_options.delta_registry = &*slot_registry;
         }
         SolveResult solved = SearchEngine(r, solve_options).run();
         const MemoSpace space = make_memo_space(r);

@@ -109,22 +109,17 @@ struct PoolOptions {
   /// characteristic, so the same partial relation keys consistently.
   bool totalize = false;
 
-  /// Incremental re-solve (delta_context.hpp): each slot keeps a
-  /// private DeltaRegistry of the relations it most recently solved,
-  /// per variable space.  A request whose root misses the memo is
-  /// diffed against the slot's base; the XOR change region then rides
-  /// the decomposition, so only subtrees the edit touches are
-  /// re-searched — the rest serve from their depth-indexed memo
-  /// entries.  Registry entries are plain serialized data, so they
-  /// survive the slot's variable-block recycling unharmed.  The delta
-  /// path requires a pool memo (reuse flows through marked memo
-  /// entries); the registry's ORDER memory does not — a memo-less
-  /// incremental pool still seeds each request's variable order from
-  /// the sifted order the slot's previous same-signature solve ended
-  /// with, so repeat traffic skips the sifting ramp (reorder_swaps ≈ 0
-  /// on the second solve).  The BREL_INCREMENTAL environment variable
-  /// ("0"/"off", "1"/"on") overrides this setting
-  /// (resolve_incremental).
+  /// Order memory (delta_context.hpp): each slot keeps a private
+  /// DeltaRegistry of the block orders its most recent solves drained
+  /// with, per variable space, and seeds each request's variable order
+  /// from the sifted order the slot's previous same-signature solve ended
+  /// with — so repeat traffic skips the sifting ramp (reorder_swaps ≈ 0
+  /// on the second solve).  Registry entries are plain rank-form data, so
+  /// they survive the slot's variable-block recycling unharmed.  Works
+  /// with or without a pool memo (edited requests reuse through the
+  /// memo's root entries only; see global_memo.hpp).  The
+  /// BREL_INCREMENTAL environment variable ("0"/"off", "1"/"on")
+  /// overrides this setting (resolve_incremental).
   bool incremental = false;
 
   /// Tier-1 persistence (memo_snapshot.hpp): restore this snapshot into

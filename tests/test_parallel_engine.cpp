@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -343,6 +346,70 @@ TEST(ParallelEngineTest, WarmGlobalMemoShortCircuitsTheWholeFleet) {
   const SolveResult serial_warm = SearchEngine(r, options).run();
   EXPECT_EQ(serial_warm.stats.relations_explored, 0u);
   EXPECT_DOUBLE_EQ(serial_warm.cost, cold.cost);
+}
+
+TEST(ParallelEngineTest, DrainedFleetPublishesExactlyItsResult) {
+  // The coordinator publishes the fleet's returned result under the root
+  // key once, so the warm entry equals the cold answer byte for byte even
+  // when the winning solution was found in stolen work.
+  BddManager mgr{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const BooleanRelation r = make_benchmark_relation(
+      mgr, relation_suite()[2], inputs, outputs);
+  const MemoSpace space = make_memo_space(r);
+  const GlobalMemoKey key = make_memo_key(space, r.characteristic());
+  for (const std::size_t workers : {2u, 4u}) {
+    SolverOptions options = deterministic_options(6);
+    options.global_memo = std::make_shared<GlobalMemo>();
+    options.num_workers = workers;
+    const SolveResult result = ParallelEngine(r, options).run();
+    ASSERT_FALSE(result.stats.budget_exhausted);
+    ASSERT_EQ(result.stats.fifo_overflow, 0u);
+    EXPECT_EQ(options.global_memo->size(), 1u) << workers << " workers";
+    EXPECT_EQ(options.global_memo->publishes(), 1u) << workers << " workers";
+    const std::optional<PortableSolution> entry =
+        options.global_memo->lookup(key);
+    ASSERT_TRUE(entry.has_value()) << workers << " workers";
+    EXPECT_EQ(*entry,
+              make_portable_solution(space, result.function, result.cost))
+        << workers << " workers";
+  }
+}
+
+TEST(ParallelEngineTest, InterruptedFleetPublishesNothing) {
+  BddManager mgr{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const BooleanRelation r = make_benchmark_relation(
+      mgr, relation_suite()[8], inputs, outputs);
+
+  SolverOptions budget = deterministic_options(6);
+  budget.global_memo = std::make_shared<GlobalMemo>();
+  budget.num_workers = 2;
+  budget.max_relations = 2;
+  const SolveResult stopped = ParallelEngine(r, budget).run();
+  ASSERT_TRUE(stopped.stats.budget_exhausted);
+  EXPECT_EQ(budget.global_memo->size(), 0u);
+
+  SolverOptions timed = budget;
+  timed.global_memo = std::make_shared<GlobalMemo>();
+  timed.max_relations = static_cast<std::size_t>(-1);
+  timed.max_depth = static_cast<std::size_t>(-1);
+  timed.exact = true;
+  timed.timeout = std::chrono::milliseconds(1);
+  const SolveResult timed_out = ParallelEngine(r, timed).run();
+  ASSERT_TRUE(timed_out.stats.budget_exhausted);
+  EXPECT_EQ(timed.global_memo->size(), 0u);
+
+  SolverOptions overflow = deterministic_options(6);
+  overflow.global_memo = std::make_shared<GlobalMemo>();
+  overflow.num_workers = 2;
+  overflow.fifo_capacity = 1;
+  const SolveResult dropped = ParallelEngine(r, overflow).run();
+  ASSERT_FALSE(dropped.stats.budget_exhausted);
+  ASSERT_GT(dropped.stats.fifo_overflow, 0u);
+  EXPECT_EQ(overflow.global_memo->size(), 0u);
 }
 
 TEST(ParallelEngineTest, ExactModeMatchesEnumeratedOptimum) {

@@ -1,13 +1,18 @@
 // Tests for the pluggable search-engine layer: frontier strategy
 // semantics (FIFO / LIFO / best-first ordering, capacity, move-only
 // items), the subproblem cache (in-tree no-duplicate invariant and
-// cross-solve dedup), the SearchEngine driver, and strategy-independence
-// of exact mode.
+// cross-solve dedup), the SearchEngine driver, strategy-independence
+// of exact mode, and the global memo's root entry (published once, by
+// drained runs only).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <type_traits>
+#include <vector>
 
 #include "benchgen/paper_relations.hpp"
 #include "benchgen/relation_suite.hpp"
@@ -209,6 +214,92 @@ TEST_F(SearchEngineTest, EngineRejectsIllDefinedRelation) {
       !(mgr.literal(space.inputs[0], true) &
         mgr.literal(space.inputs[1], false)));
   EXPECT_THROW(SearchEngine(broken, SolverOptions{}), std::invalid_argument);
+}
+
+// ------------------------------------------------ global memo root entry
+
+/// A run that drains: unlimited budget and a depth cap.
+SolverOptions drained_options(ExplorationOrder order, bool cost_bound) {
+  SolverOptions options;
+  options.cost = sum_of_bdd_sizes();
+  options.max_relations = static_cast<std::size_t>(-1);
+  options.max_depth = 6;
+  options.use_cost_bound = cost_bound;
+  options.order = order;
+  options.global_memo = std::make_shared<GlobalMemo>();
+  return options;
+}
+
+/// The memo's root entry for `r` (a depth-0 probe with the full key).
+std::optional<PortableSolution> root_entry(GlobalMemo& memo,
+                                           const BooleanRelation& r) {
+  return memo.lookup(make_memo_key(make_memo_space(r), r.characteristic()));
+}
+
+TEST(GlobalMemoRootTest, DrainedRunPublishesExactlyItsResult) {
+  // One entry, one publish, and the entry is the returned result byte
+  // for byte — whatever cost-bound prunes cut the tree on the way.
+  BddManager mgr{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const BooleanRelation r =
+      make_benchmark_relation(mgr, relation_suite()[2], inputs, outputs);
+  for (const ExplorationOrder order :
+       {ExplorationOrder::BreadthFirst, ExplorationOrder::DepthFirst,
+        ExplorationOrder::BestFirst}) {
+    for (const bool cost_bound : {false, true}) {
+      const SolverOptions options = drained_options(order, cost_bound);
+      const SolveResult result = SearchEngine(r, options).run();
+      ASSERT_FALSE(result.stats.budget_exhausted);
+      ASSERT_EQ(result.stats.fifo_overflow, 0u);
+      GlobalMemo& memo = *options.global_memo;
+      EXPECT_EQ(memo.size(), 1u);
+      EXPECT_EQ(memo.publishes(), 1u);
+      const std::optional<PortableSolution> entry = root_entry(memo, r);
+      ASSERT_TRUE(entry.has_value());
+      EXPECT_EQ(*entry, make_portable_solution(make_memo_space(r),
+                                               result.function, result.cost));
+    }
+  }
+}
+
+TEST(GlobalMemoRootTest, InterruptedRunsPublishNothing) {
+  // A partial result can never be served: budget stops, timeouts and
+  // frontier-overflow drops leave the memo empty.
+  BddManager mgr{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const BooleanRelation r =
+      make_benchmark_relation(mgr, relation_suite()[8], inputs, outputs);
+
+  SolverOptions budget = drained_options(ExplorationOrder::BreadthFirst, true);
+  budget.max_relations = 2;
+  const SolveResult stopped = SearchEngine(r, budget).run();
+  ASSERT_TRUE(stopped.stats.budget_exhausted);
+  EXPECT_EQ(budget.global_memo->size(), 0u);
+  EXPECT_EQ(budget.global_memo->publishes(), 0u);
+
+  // Exact mode over the largest suite instance cannot drain in 1 ms.
+  SolverOptions timed = drained_options(ExplorationOrder::BreadthFirst, true);
+  timed.exact = true;
+  timed.max_depth = static_cast<std::size_t>(-1);
+  timed.timeout = std::chrono::milliseconds(1);
+  const SolveResult timed_out = SearchEngine(r, timed).run();
+  ASSERT_TRUE(timed_out.stats.budget_exhausted);
+  EXPECT_EQ(timed.global_memo->size(), 0u);
+
+  SolverOptions overflow =
+      drained_options(ExplorationOrder::BreadthFirst, false);
+  overflow.fifo_capacity = 1;
+  const SolveResult dropped = SearchEngine(r, overflow).run();
+  ASSERT_FALSE(dropped.stats.budget_exhausted);
+  ASSERT_GT(dropped.stats.fifo_overflow, 0u);
+  EXPECT_EQ(overflow.global_memo->size(), 0u);
+
+  // The next identical solve then misses and searches again.
+  const SolveResult again = SearchEngine(r, overflow).run();
+  EXPECT_EQ(again.stats.memo_hits, 0u);
+  EXPECT_EQ(again.stats.relations_explored, dropped.stats.relations_explored);
 }
 
 // ------------------------------------------------------ subproblem cache

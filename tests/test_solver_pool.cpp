@@ -12,13 +12,17 @@
 //   - concurrent submission from many threads is safe (this file is part
 //     of the TSan CI job);
 //   - memo capacity drops new keys but still lands improvements to
-//     present keys, and mismatched fingerprint reuse is rejected.
+//     present keys, and mismatched fingerprint reuse is rejected;
+//   - the memo holds whole answers: one entry per distinct relation,
+//     one publish per root miss, however long the pool runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -499,6 +503,62 @@ TEST(SolverPoolTest, RecycledSlotsKeepNumVarsBounded) {
         << "slot num_vars grew on request " << i;
   }
   EXPECT_EQ(pool.requests_served(), 100u);
+}
+
+TEST(SolverPoolTest, MemoHoldsOneEntryPerDistinctRelation) {
+  // The bounded-memory contract at entry granularity: the memo caches
+  // whole answers, so a memo-on pool serving ~200 distinct suite-shaped
+  // relations plus repeats holds exactly one entry per distinct relation
+  // and publishes exactly once per root miss, while every slot manager
+  // stays at the width of one request.
+  std::vector<std::string> texts;
+  std::set<std::string> seen;
+  std::size_t max_width = 0;
+  for (std::uint32_t i = 0; i < 204; ++i) {
+    const RelationBenchmark& shape =
+        relation_suite()[i % relation_suite().size()];
+    const RelationBenchmark spec{"plateau", shape.num_inputs,
+                                 shape.num_outputs,
+                                 shape.seed ^ (0x9E3779B9u * (i + 1))};
+    BddManager mgr{0};
+    std::vector<std::uint32_t> inputs;
+    std::vector<std::uint32_t> outputs;
+    std::string text = write_relation_bdd(
+        make_benchmark_relation(mgr, spec, inputs, outputs));
+    if (seen.insert(text).second) {
+      texts.push_back(std::move(text));
+      max_width = std::max(max_width, inputs.size() + outputs.size());
+    }
+  }
+  ASSERT_GE(texts.size(), 200u);
+
+  PoolOptions pool_options;
+  pool_options.workers = 2;
+  pool_options.solver = deterministic_options(4);
+  SolverPool pool(pool_options);
+
+  std::size_t misses = 0;
+  const auto serve = [&](std::size_t count, bool expect_hit) {
+    std::vector<std::future<PoolResult>> futures;
+    for (std::size_t i = 0; i < count; ++i) {
+      futures.push_back(pool.submit(texts[i]));
+    }
+    for (std::future<PoolResult>& future : futures) {
+      const PoolResult result = future.get();
+      ASSERT_FALSE(result.stats.budget_exhausted);
+      ASSERT_LE(result.manager_num_vars, max_width);
+      if (result.stats.memo_hits == 0) {
+        ++misses;
+      }
+      EXPECT_EQ(result.stats.memo_hits, expect_hit ? 1u : 0u);
+    }
+  };
+  serve(texts.size(), false);  // every relation once, cold
+  serve(texts.size() / 4, true);  // repeats: served at the root
+
+  EXPECT_EQ(pool.memo()->size(), texts.size());
+  EXPECT_EQ(pool.memo()->publishes(), misses);
+  EXPECT_EQ(misses, texts.size());
 }
 
 TEST(SolverPoolTest, ParseAndValidationErrorsFlowThroughTheFuture) {

@@ -47,20 +47,18 @@
 //                                            a throughput/memo summary
 //     --no-memo                              disable the pool's cross-solve
 //                                            memo in --serve mode
-//     --incremental                          delta-driven re-solve: diff each
+//     --incremental                          delta-driven re-solve: arms the
+//                                            delta-localization partition
+//                                            (first 4 inputs) and diffs each
 //                                            request against the most recent
 //                                            solved relation over the same
-//                                            variable spaces and re-search
-//                                            only the subtrees the change
-//                                            region touches (--serve slots
-//                                            keep per-slot bases; single-solve
-//                                            mode accepts the flag for parity
-//                                            but has no prior base).  Also
-//                                            arms the delta-localization
-//                                            partition (first 4 inputs), so
-//                                            point edits re-search one block.
-//                                            Requires the memo;
-//                                            BREL_INCREMENTAL=0|1 overrides
+//                                            variable spaces, so a point edit
+//                                            re-searches one block (single-
+//                                            solve mode has no prior base;
+//                                            --serve slots keep per-slot
+//                                            order memory).  Requires the
+//                                            memo; BREL_INCREMENTAL=0|1
+//                                            overrides
 //     --memo-shards=N                        lock shards of the pool memo
 //                                            (--serve; 0 = auto: 16 for an
 //                                            unbounded memo, 1 when capped)

@@ -27,7 +27,8 @@
 //     --max-depth=N           truncate the tree below depth N
 //     --no-bound              disable the line-6 cost bound
 //     --no-memo               disable the cross-solve memo
-//     --incremental           delta-driven re-solve across requests
+//     --incremental           per-slot variable-order memory across
+//                             requests (PoolOptions::incremental)
 //     --totalize              repair partial request relations
 //     --memo-load=PATH        restore a tier-1 memo snapshot at start
 //     --memo-save=PATH        write a memo snapshot after the drain
