@@ -25,7 +25,9 @@
 #include <memory>
 #include <new>
 #include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -670,6 +672,135 @@ void report_traversal(bench::JsonWriter* json) {
 }
 // [traversal-end]
 
+// [minimize-kernels-begin]
+/// The two kernels of ISF minimization (IsfMinimizer, Sec. 7.5) on a pool
+/// of random intervals [a ∧ b, a ∨ b]:
+///   isop_function:  BddManager::isop_function, one call per interval,
+///   essential_test: BddManager::leq_flipped, one call per (interval,
+///                   support variable of the upper bound),
+/// each cold (computed table cleared by a GC before every round; the GC
+/// is not timed) and warm (every call a computed-table hit), with the
+/// allocations per warm op — an exact-zero acceptance field: a warm
+/// kernel call must not allocate.  The cold cost of what each kernel
+/// replaced is recorded beside it: isop_cover (the cover-building
+/// isop().function) and quantify_test (∃v lower, ∀v upper and their leq).
+void report_minimize_kernels(bench::JsonWriter* json) {
+  constexpr std::uint32_t kVars = 16;
+  BddManager mgr{kVars, 16};
+  std::mt19937 rng{91};
+  constexpr std::size_t kPool = 32;
+  std::vector<std::pair<Bdd, Bdd>> intervals;
+  std::vector<std::vector<std::uint32_t>> supports;
+  for (std::size_t i = 0; i < kPool; ++i) {
+    const Bdd a = random_function(mgr, rng, kVars, 4);
+    const Bdd b = random_function(mgr, rng, kVars, 4);
+    intervals.emplace_back(a & b, a | b);
+    supports.push_back((a | b).support());
+  }
+  std::size_t support_vars = 0;
+  for (const auto& support : supports) {
+    support_vars += support.size();
+  }
+  constexpr int kRounds = 40;
+  std::uint64_t sink = 0;
+  struct Timing {
+    double ns = 0.0;
+    double allocs = 0.0;
+  };
+  // Time `round` (which performs `ops` kernel calls) over kRounds
+  // rounds, GC-ing before each one when `cold`.
+  const auto time_rounds = [&](bool cold, std::size_t ops,
+                               const auto& round) {
+    double ns = 0.0;
+    std::uint64_t allocs = 0;
+    round();  // warm-up: scratch and unique tables reach steady state
+    for (int r = 0; r < kRounds; ++r) {
+      if (cold) {
+        mgr.garbage_collect();
+      }
+      const std::uint64_t allocs_before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      const auto start = std::chrono::steady_clock::now();
+      round();
+      ns += std::chrono::duration<double, std::nano>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+      allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    }
+    const double total_ops = static_cast<double>(kRounds) *
+                             static_cast<double>(ops);
+    return Timing{ns / total_ops, static_cast<double>(allocs) / total_ops};
+  };
+  const auto isop_function_round = [&] {
+    for (const auto& [lower, upper] : intervals) {
+      sink += mgr.isop_function(lower, upper).raw_edge();
+    }
+  };
+  const auto isop_cover_round = [&] {
+    for (const auto& [lower, upper] : intervals) {
+      sink += mgr.isop(lower, upper).function.raw_edge();
+    }
+  };
+  const auto essential_round = [&] {
+    for (std::size_t i = 0; i < kPool; ++i) {
+      for (const std::uint32_t var : supports[i]) {
+        sink += mgr.leq_flipped(intervals[i].first, intervals[i].second, var)
+                    ? 1
+                    : 0;
+      }
+    }
+  };
+  const auto quantify_round = [&] {
+    for (std::size_t i = 0; i < kPool; ++i) {
+      for (const std::uint32_t var : supports[i]) {
+        const std::span<const std::uint32_t> one_var(&var, 1);
+        sink += mgr.leq(mgr.exists(intervals[i].first, one_var),
+                        mgr.forall(intervals[i].second, one_var))
+                    ? 1
+                    : 0;
+      }
+    }
+  };
+  const Timing isop_cold = time_rounds(true, kPool, isop_function_round);
+  const Timing isop_warm = time_rounds(false, kPool, isop_function_round);
+  const Timing cover_cold = time_rounds(true, kPool, isop_cover_round);
+  const Timing essential_cold =
+      time_rounds(true, support_vars, essential_round);
+  const Timing essential_warm =
+      time_rounds(false, support_vars, essential_round);
+  const Timing quantify_cold =
+      time_rounds(true, support_vars, quantify_round);
+
+  std::printf(
+      "\nminimize kernels (%zu intervals, %zu support variables):\n"
+      "  isop_function   %10.1f ns/op cold  %8.1f ns/op warm  "
+      "%.3f allocs/op warm (must be 0)\n"
+      "  isop_cover      %10.1f ns/op cold  (cover-building reference)\n"
+      "  essential_test  %10.1f ns/op cold  %8.1f ns/op warm  "
+      "%.3f allocs/op warm (must be 0)\n"
+      "  quantify_test   %10.1f ns/op cold  (exists/forall reference)\n"
+      "  (sink %llu)\n",
+      kPool, support_vars, isop_cold.ns, isop_warm.ns, isop_warm.allocs,
+      cover_cold.ns, essential_cold.ns, essential_warm.ns,
+      essential_warm.allocs, quantify_cold.ns,
+      static_cast<unsigned long long>(sink));
+  if (json != nullptr) {
+    json->begin_object("minimize_kernels");
+    json->field_int("intervals", kPool);
+    json->field_int("support_vars", support_vars);
+    json->field_num("isop_function_ns", isop_cold.ns);
+    json->field_num("isop_function_warm_ns", isop_warm.ns);
+    json->field_num("isop_function_allocs", isop_warm.allocs);
+    json->field_num("isop_cover_ns", cover_cold.ns);
+    json->field_num("essential_test_ns", essential_cold.ns);
+    json->field_num("essential_test_warm_ns", essential_warm.ns);
+    json->field_num("essential_test_allocs", essential_warm.allocs);
+    json->field_num("quantify_test_ns", quantify_cold.ns);
+    json->end_object();
+  }
+}
+// [minimize-kernels-end]
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -716,6 +847,9 @@ int main(int argc, char** argv) {
   // [traversal-begin]
   report_traversal(&json);
   // [traversal-end]
+  // [minimize-kernels-begin]
+  report_minimize_kernels(&json);
+  // [minimize-kernels-end]
   brel::bench::write_authoring_host(json);
   json.end_object();
 

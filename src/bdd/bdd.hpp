@@ -184,8 +184,10 @@ enum class BddOp : std::uint32_t {
   Restrict,
   /// Caller-level ISF minimization memo (BddManager::minimize_memo_*).
   Minimize,
+  /// Function-only ISOP (BddManager::isop_function).
+  Isop,
 };
-inline constexpr std::size_t kBddOpCount = 10;
+inline constexpr std::size_t kBddOpCount = 11;
 /// Short stable name of an op tag ("and", "ite", ...).
 [[nodiscard]] const char* bdd_op_name(BddOp op) noexcept;
 
@@ -254,6 +256,14 @@ class BddManager {
   /// minterm of f & !g instead of materializing that conjunction.
   [[nodiscard]] bool leq(const Bdd& f, const Bdd& g);
 
+  /// True iff f <= g[var := !var] (g with `var` complemented), decided
+  /// like leq() without building a node.  For an interval f <= g it is
+  /// the non-essential-variable test of Sec. 7.5: the tightened interval
+  /// [∃var f, ∀var g] is non-empty iff f|var=1 <= g|var=0 and
+  /// f|var=0 <= g|var=1, which is exactly this.
+  [[nodiscard]] bool leq_flipped(const Bdd& f, const Bdd& g,
+                                 std::uint32_t var);
+
   /// Positive/negative cofactor of f with respect to a single variable
   /// (dedicated kernel; cheaper than constrain over the literal).
   [[nodiscard]] Bdd cofactor(const Bdd& f, std::uint32_t var, bool phase);
@@ -284,21 +294,26 @@ class BddManager {
   /// Minato-Morreale irredundant sum-of-products for any function in the
   /// interval [lower, upper].  Requires lower ⊆ upper.
   [[nodiscard]] IsopResult isop(const Bdd& lower, const Bdd& upper);
+  /// isop(lower, upper).function without building the cover: the same
+  /// edge, memoized in the computed table under BddOp::Isop (the result
+  /// depends on the variable order, so entries die with the table on GC,
+  /// sifting and reset_variables).  Requires lower ⊆ upper.
+  [[nodiscard]] Bdd isop_function(const Bdd& lower, const Bdd& upper);
 
   /// Number of minterms of f over `num_vars_total` variables.  Exact while
   /// num_vars_total <= 52 (dyadic rationals representable in double).
   [[nodiscard]] double sat_count(const Bdd& f, std::uint32_t num_vars_total);
 
   /// Memo of a caller-level operator — IsfMinimizer::minimize — kept in
-  /// the computed table under BddOp::Minimize: the key is (on, dc, tag),
-  /// where `tag` encodes the caller's settings, and the value is the
-  /// result edge.  Entries die with the table (GC, sifting,
-  /// reset_variables), so a hit is exactly the edge recomputing would
-  /// return.  The lookup returns a null handle on a miss.
-  [[nodiscard]] Bdd minimize_memo_lookup(const Bdd& on, const Bdd& dc,
+  /// the computed table under BddOp::Minimize: the key is the interval
+  /// (lower, upper) plus `tag`, which encodes the caller's settings, and
+  /// the value is the result edge.  Entries die with the table (GC,
+  /// sifting, reset_variables), so a hit is exactly the edge recomputing
+  /// would return.  The lookup returns a null handle on a miss.
+  [[nodiscard]] Bdd minimize_memo_lookup(const Bdd& lower, const Bdd& upper,
                                          std::uint32_t tag);
-  void minimize_memo_insert(const Bdd& on, const Bdd& dc, std::uint32_t tag,
-                            const Bdd& result);
+  void minimize_memo_insert(const Bdd& lower, const Bdd& upper,
+                            std::uint32_t tag, const Bdd& result);
 
   /// A cube of f with the fewest literals (the "largest cube"; the paper's
   /// split-vertex selection uses this, Sec. 7.4).  Requires f != 0.
@@ -618,6 +633,13 @@ class BddManager {
   [[nodiscard]] detail::Edge cofactor_rec(detail::Edge f, std::uint32_t var,
                                           bool phase);
   [[nodiscard]] bool leq_rec(detail::Edge f, detail::Edge g);
+  [[nodiscard]] bool leq_flipped_rec(detail::Edge f, detail::Edge g,
+                                     std::uint32_t var);
+  /// The one Minato-Morreale recursion (bdd_isop.cpp): kEmitCubes appends
+  /// the cover to *out, the function-only form memoizes under Op::Isop.
+  template <bool kEmitCubes>
+  [[nodiscard]] detail::Edge isop_rec(detail::Edge l, detail::Edge u,
+                                      std::vector<Cube>* out);
   [[nodiscard]] detail::Edge exists_rec(detail::Edge f, detail::Edge cube);
   [[nodiscard]] detail::Edge and_exists_rec(detail::Edge f, detail::Edge g,
                                             detail::Edge cube);

@@ -372,6 +372,8 @@ const char* bdd_op_name(BddOp op) noexcept {
       return "restrict";
     case BddOp::Minimize:
       return "minimize";
+    case BddOp::Isop:
+      return "isop";
   }
   return "?";
 }
@@ -426,29 +428,30 @@ void BddManager::cache_insert(const CacheProbe& probe, Edge result) {
   primary = CacheEntry{probe.key_ab, probe.c, result};
 }
 
-Bdd BddManager::minimize_memo_lookup(const Bdd& on, const Bdd& dc,
+Bdd BddManager::minimize_memo_lookup(const Bdd& lower, const Bdd& upper,
                                      std::uint32_t tag) {
-  if (on.manager() != this || dc.manager() != this) {
+  if (lower.manager() != this || upper.manager() != this) {
     throw std::invalid_argument("minimize_memo_lookup: foreign or null handle");
   }
   Edge result = kOne;
   CacheProbe probe;
-  if (cache_lookup(Op::Minimize, on.raw_edge(), dc.raw_edge(), tag, result,
-                   probe)) {
+  if (cache_lookup(Op::Minimize, lower.raw_edge(), upper.raw_edge(), tag,
+                   result, probe)) {
     return wrap(result);
   }
   return Bdd{};
 }
 
-void BddManager::minimize_memo_insert(const Bdd& on, const Bdd& dc,
+void BddManager::minimize_memo_insert(const Bdd& lower, const Bdd& upper,
                                       std::uint32_t tag, const Bdd& result) {
-  if (on.manager() != this || dc.manager() != this ||
+  if (lower.manager() != this || upper.manager() != this ||
       result.manager() != this) {
     throw std::invalid_argument("minimize_memo_insert: foreign or null handle");
   }
   assert_owning_thread();
-  cache_insert(cache_probe(Op::Minimize, on.raw_edge(), dc.raw_edge(), tag),
-               result.raw_edge());
+  cache_insert(
+      cache_probe(Op::Minimize, lower.raw_edge(), upper.raw_edge(), tag),
+      result.raw_edge());
 }
 
 // ---------------------------------------------------------------------------

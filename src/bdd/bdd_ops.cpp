@@ -56,6 +56,17 @@ bool BddManager::leq(const Bdd& f, const Bdd& g) {
   return leq_rec(f.raw_edge(), g.raw_edge());
 }
 
+bool BddManager::leq_flipped(const Bdd& f, const Bdd& g, std::uint32_t var) {
+  if (f.manager() != this || g.manager() != this) {
+    throw std::invalid_argument(
+        "leq_flipped: operands from a different manager");
+  }
+  if (var >= num_vars_) {
+    throw std::out_of_range("leq_flipped: unknown variable");
+  }
+  return leq_flipped_rec(f.raw_edge(), g.raw_edge(), var);
+}
+
 Bdd BddManager::cofactor(const Bdd& f, std::uint32_t var, bool phase) {
   if (f.manager() != this) {
     throw std::invalid_argument("cofactor: operand from a different manager");
@@ -225,6 +236,41 @@ bool BddManager::leq_rec(Edge f, Edge g) {
   const bool result =
       leq_rec(cofactor_top(f, v, true), cofactor_top(g, v, true)) &&
       leq_rec(cofactor_top(f, v, false), cofactor_top(g, v, false));
+  cache_insert(probe, result ? kOne : kZero);
+  return result;
+}
+
+bool BddManager::leq_flipped_rec(Edge f, Edge g, std::uint32_t var) {
+  // f <= g[var := !var], decided like leq_rec without building anything:
+  // above var's level both sides split on the same variable; at var's
+  // level the flip pairs f|var=1 with g|var=0 and f|var=0 with g|var=1;
+  // below it g[var := !var] is g itself.
+  if (f == kZero || g == kOne) {
+    return true;
+  }
+  if (g == kZero || f == kOne) {
+    return false;  // f != 0 and g != 1 here, so each case has a witness
+  }
+  const std::uint32_t v = top_var(f, g);
+  if (level_of(v) > level_of(var)) {
+    return leq_rec(f, g);
+  }
+  // var + 1 in the third operand: plain leq entries carry 0 there.
+  Edge cached = 0;
+  CacheProbe probe;
+  if (cache_lookup(Op::Leq, f, g, var + 1, cached, probe)) {
+    return cached == kOne;
+  }
+  bool result = false;
+  if (v == var) {
+    result = leq_rec(cofactor_top(f, v, true), cofactor_top(g, v, false)) &&
+             leq_rec(cofactor_top(f, v, false), cofactor_top(g, v, true));
+  } else {
+    result = leq_flipped_rec(cofactor_top(f, v, true),
+                             cofactor_top(g, v, true), var) &&
+             leq_flipped_rec(cofactor_top(f, v, false),
+                             cofactor_top(g, v, false), var);
+  }
   cache_insert(probe, result ? kOne : kZero);
   return result;
 }

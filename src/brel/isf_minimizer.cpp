@@ -1,6 +1,6 @@
 #include "brel/isf_minimizer.hpp"
 
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -13,24 +13,37 @@ namespace {
 /// non-empty.  The walk is by id, not by the manager's current level
 /// order, on purpose: it keeps the reduced interval independent of
 /// dynamic reordering (a level walk would eliminate a different set).
+/// The node-free leq_flipped test decides each variable; only the ones
+/// it passes pay for the ∃/∀ pair.
 Isf eliminate_nonessential_vars(const Isf& isf) {
-  Isf current = isf;
-  // Candidate variables: the support of the interval bounds (OFF is the
-  // complement of ON ∪ DC, so it adds none).
-  const std::vector<std::uint32_t> vars = current.max().support();
+  BddManager& mgr = *isf.min().manager();
+  Bdd lower = isf.min();
+  Bdd upper = isf.max();
+  // Candidate variables: the support of the upper bound, fixed up front.
+  const std::vector<std::uint32_t> vars = upper.support();
   for (const std::uint32_t var : vars) {
-    if (std::optional<Isf> reduced = current.eliminate_var(var)) {
-      current = std::move(*reduced);
+    if (!mgr.leq_flipped(lower, upper, var)) {
+      continue;  // essential
     }
+    const std::span<const std::uint32_t> abstracted(&var, 1);
+    Bdd new_lower = mgr.exists(lower, abstracted);
+    Bdd new_upper = mgr.forall(upper, abstracted);
+    if (!mgr.leq(new_lower, new_upper)) {
+      throw std::logic_error(
+          "eliminate_nonessential_vars: leq_flipped passed an essential "
+          "variable");
+    }
+    lower = std::move(new_lower);
+    upper = std::move(new_upper);
   }
-  return current;
+  return Isf::interval(std::move(lower), std::move(upper));
 }
 
 Bdd run_kernel(IsfMethod method, const Isf& isf) {
   BddManager& mgr = *isf.on().manager();
   switch (method) {
     case IsfMethod::Isop:
-      return mgr.isop(isf.min(), isf.max()).function;
+      return mgr.isop_function(isf.min(), isf.max());
     case IsfMethod::Constrain: {
       const Bdd care = isf.on() | isf.off();
       return care.is_zero() ? mgr.zero() : mgr.constrain(isf.on(), care);
@@ -61,11 +74,11 @@ Bdd IsfMinimizer::minimize(const Isf& isf) const {
   // The search minimizes most output ISFs twice — the quick-solve safety
   // net on every generated child, then the MISF candidate when the child
   // is expanded — so results are memoized in the manager's computed
-  // table, keyed on (ON, DC) with the settings as the tag.
+  // table, keyed on the interval (ON, upper) with the settings as the tag.
   BddManager& mgr = *isf.on().manager();
   const std::uint32_t tag = (static_cast<std::uint32_t>(method) << 1) |
                             (eliminate_nonessential ? 1u : 0u);
-  if (Bdd hit = mgr.minimize_memo_lookup(isf.on(), isf.dc(), tag);
+  if (Bdd hit = mgr.minimize_memo_lookup(isf.min(), isf.max(), tag);
       !hit.is_null()) {
     return hit;
   }
@@ -74,7 +87,7 @@ Bdd IsfMinimizer::minimize(const Isf& isf) const {
   // Postcondition: the implementation honours the *original* interval.
   // (Support elimination only tightens it, so this always holds.)
   Bdd result = run_kernel(method, reduced);
-  mgr.minimize_memo_insert(isf.on(), isf.dc(), tag, result);
+  mgr.minimize_memo_insert(isf.min(), isf.max(), tag, result);
   return result;
 }
 

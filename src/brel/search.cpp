@@ -198,7 +198,7 @@ std::optional<SplitChoice> select_flexibility_split(
   BddManager& mgr = rel.manager();
   for (const std::size_t i : outputs_in_var_order(rel)) {
     const Isf isf = rel.project_output(i);
-    if (!isf.dc().is_zero()) {
+    if (!isf.is_completely_specified()) {
       return SplitChoice{mgr.pick_minterm(isf.dc()), i};
     }
   }

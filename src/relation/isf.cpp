@@ -5,30 +5,40 @@
 
 namespace brel {
 
-Isf::Isf(Bdd on, Bdd dc) : on_(std::move(on)), dc_(std::move(dc)) {
-  if (on_.is_null() || dc_.is_null() || on_.manager() != dc_.manager()) {
-    throw std::invalid_argument("Isf: ON/DC must share a manager");
+namespace {
+
+BddManager& shared_manager(const Bdd& a, const Bdd& b, const char* what) {
+  if (a.is_null() || b.is_null() || a.manager() != b.manager()) {
+    throw std::invalid_argument(what);
   }
-  if (!(on_ & dc_).is_zero()) {
+  return *a.manager();
+}
+
+}  // namespace
+
+Isf::Isf(const Bdd& on, const Bdd& dc) {
+  BddManager& mgr = shared_manager(on, dc, "Isf: ON/DC must share a manager");
+  if (!mgr.leq(on, !dc)) {
     throw std::invalid_argument("Isf: ON and DC sets must be disjoint");
   }
-  off_ = !(on_ | dc_);
+  lower_ = on;
+  upper_ = on | dc;
+}
+
+Isf Isf::interval(Bdd lower, Bdd upper) {
+  BddManager& mgr = shared_manager(lower, upper,
+                                   "Isf: bounds must share a manager");
+  if (!mgr.leq(lower, upper)) {
+    throw std::invalid_argument("Isf: empty interval (lower not in upper)");
+  }
+  Isf isf;
+  isf.lower_ = std::move(lower);
+  isf.upper_ = std::move(upper);
+  return isf;
 }
 
 bool Isf::contains(const Bdd& f) const {
-  return on_.subset_of(f) && f.subset_of(max());
-}
-
-std::optional<Isf> Isf::eliminate_var(std::uint32_t var) const {
-  BddManager& mgr = *on_.manager();
-  const std::span<const std::uint32_t> vars(&var, 1);
-  Bdd new_min = mgr.exists(on_, vars);
-  const Bdd new_max = mgr.forall(max(), vars);
-  if (!new_min.subset_of(new_max)) {
-    return std::nullopt;
-  }
-  Bdd new_dc = new_max & !new_min;
-  return Isf(std::move(new_min), std::move(new_dc));
+  return lower_.subset_of(f) && f.subset_of(upper_);
 }
 
 }  // namespace brel

@@ -1,50 +1,51 @@
 #pragma once
 /// \file isf.hpp
 /// Incompletely specified functions (Def. 4.4): an interval of Boolean
-/// functions given by ON / DC / OFF sets over the input variables.
-
-#include <cstdint>
-#include <optional>
+/// functions over the input variables.
 
 #include "bdd/bdd.hpp"
 
 namespace brel {
 
-/// An ISF f : B^n -> {0, 1, -}.  Invariants: the three sets are pairwise
-/// disjoint and jointly cover the full input space (OFF is derived).
+/// An ISF f : B^n -> {0, 1, -}, stored as the interval [lower, upper] of
+/// its implementations: ON = lower, DC = upper ∧ ¬lower, OFF = ¬upper.
+/// Invariant: lower ⊆ upper, so the three sets are pairwise disjoint and
+/// jointly cover the input space.
 class Isf {
  public:
-  /// Build from ON and DC sets; OFF = !(ON | DC).  Throws if ON ∧ DC != 0.
-  Isf(Bdd on, Bdd dc);
+  /// Build from ON and DC sets.  Throws if ON ∧ DC != 0.
+  Isf(const Bdd& on, const Bdd& dc);
+
+  /// The ISF of all functions in [lower, upper].  Throws if the interval
+  /// is empty (lower ⊄ upper).
+  static Isf interval(Bdd lower, Bdd upper);
 
   /// The ISF that fixes exactly the function `f` (empty DC).
-  static Isf exact(const Bdd& f) { return Isf(f, f.manager()->zero()); }
+  static Isf exact(const Bdd& f) { return interval(f, f); }
 
-  [[nodiscard]] const Bdd& on() const noexcept { return on_; }
-  [[nodiscard]] const Bdd& dc() const noexcept { return dc_; }
-  [[nodiscard]] const Bdd& off() const noexcept { return off_; }
+  [[nodiscard]] const Bdd& on() const noexcept { return lower_; }
+  /// Computed on each call (one AND); callers that only need bounds use
+  /// min()/max().
+  [[nodiscard]] Bdd dc() const { return upper_ & !lower_; }
+  [[nodiscard]] Bdd off() const { return !upper_; }
 
   /// Interval bounds: every implementation f satisfies min <= f <= max.
-  [[nodiscard]] const Bdd& min() const noexcept { return on_; }
-  [[nodiscard]] Bdd max() const { return on_ | dc_; }
+  [[nodiscard]] const Bdd& min() const noexcept { return lower_; }
+  [[nodiscard]] const Bdd& max() const noexcept { return upper_; }
 
   /// True iff `f` is an implementation of this ISF (ON ⊆ f ⊆ ON ∪ DC).
   [[nodiscard]] bool contains(const Bdd& f) const;
 
   /// True iff the interval pins down a single function (DC empty).
-  [[nodiscard]] bool is_completely_specified() const { return dc_.is_zero(); }
-
-  /// Existentially/universally abstract `var` from the interval bounds,
-  /// i.e. the tightened ISF [∃var ON, ∀var (ON ∪ DC)].  That interval is
-  /// non-empty — `var` is non-essential (Sec. 7.5) — iff
-  /// ∃var ON ⊆ ∀var (ON ∪ DC); for an essential `var` the result is
-  /// std::nullopt.
-  [[nodiscard]] std::optional<Isf> eliminate_var(std::uint32_t var) const;
+  [[nodiscard]] bool is_completely_specified() const {
+    return lower_ == upper_;
+  }
 
  private:
-  Bdd on_;
-  Bdd dc_;
-  Bdd off_;
+  Isf() = default;
+
+  Bdd lower_;
+  Bdd upper_;
 };
 
 }  // namespace brel

@@ -163,8 +163,9 @@ Isf BooleanRelation::project_output(std::size_t output_index) const {
   // constrain over a literal (identical result, far cheaper recursion).
   const Bdd allows_one = mgr_->cofactor(projection, y, true);
   const Bdd allows_zero = mgr_->cofactor(projection, y, false);
-  // ON: only 1 allowed; OFF: only 0 allowed; DC: both.
-  return Isf(allows_one & !allows_zero, allows_one & allows_zero);
+  // ON: only 1 allowed; OFF: only 0 allowed; DC: both — so the interval
+  // is [allows_one ∧ ¬allows_zero, allows_one].
+  return Isf::interval(allows_one & !allows_zero, allows_one);
 }
 
 BooleanRelation BooleanRelation::misf() const {
@@ -172,9 +173,9 @@ BooleanRelation BooleanRelation::misf() const {
   for (std::size_t i = 0; i < outputs_.size(); ++i) {
     const Isf isf = project_output(i);
     const Bdd y = mgr_->var(outputs_[i]);
-    // F_yi as a relation (Def. 4.8): y=1 allowed on ON ∪ DC, y=0 on OFF ∪ DC.
-    chi = chi &
-          ((y & (isf.on() | isf.dc())) | ((!y) & (isf.off() | isf.dc())));
+    // F_yi as a relation (Def. 4.8): y=1 allowed on ON ∪ DC (the upper
+    // bound), y=0 on OFF ∪ DC (the complement of ON).
+    chi = chi & ((y & isf.max()) | ((!y) & !isf.on()));
   }
   return BooleanRelation(*mgr_, inputs_, outputs_, std::move(chi));
 }
@@ -205,7 +206,7 @@ bool BooleanRelation::can_split(const std::vector<bool>& x,
                                 std::size_t output_index) const {
   // Theorem 5.2: (R ↓ y_i)(x) = {0, 1}.
   const Isf isf = project_output(output_index);
-  return isf.dc().eval(x);
+  return isf.max().eval(x) && !isf.on().eval(x);
 }
 
 std::pair<Bdd, Bdd> BooleanRelation::split_removals(

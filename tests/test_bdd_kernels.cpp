@@ -15,6 +15,11 @@
 // within a wall-clock budget no O(live)-per-check implementation could
 // meet).
 //
+// Then the ISF-minimization kernels: the memoized function-only ISOP must
+// return the cover path's edge across GC, sifting and variable resets,
+// the cover path keeps its pinned cubes, and the node-free essential-
+// variable test must agree with its quantified definition.
+//
 // The last part pins the traversals that run on the manager's reusable
 // scratch (size, support, sat_count, serialize_bdd) against reference
 // walks kept here, across GC index reuse, variable-block resets and
@@ -23,12 +28,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <new>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -401,6 +408,220 @@ TEST(BddGcChurnTest, PerOpCacheStatsAreTracked) {
   const std::uint64_t and_hits_before = stats.op_hits[idx(BddOp::And)];
   (void)(f & g);
   EXPECT_GT(stats.op_hits[idx(BddOp::And)], and_hits_before);
+}
+
+// ---------------------------------------------------------------------------
+// The ISF-minimization kernels: function-only ISOP (memoized under
+// BddOp::Isop) against the cover path, and the node-free essential-
+// variable test (leq_flipped) against its ∃/∀ definition.
+// ---------------------------------------------------------------------------
+
+/// Seeded random intervals [a ∧ b, a ∨ b] over the manager's variables.
+std::vector<std::pair<Bdd, Bdd>> random_intervals(BddManager& mgr,
+                                                  std::uint32_t seed,
+                                                  std::size_t count) {
+  std::mt19937 rng{seed};
+  std::vector<std::pair<Bdd, Bdd>> intervals;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bdd a = random_function(mgr, rng, mgr.num_vars(), 3);
+    const Bdd b = random_function(mgr, rng, mgr.num_vars(), 3);
+    intervals.emplace_back(a & b, a | b);
+  }
+  return intervals;
+}
+
+std::uint64_t isop_hits(const BddManager& mgr) {
+  return mgr.stats().op_hits[static_cast<std::size_t>(BddOp::Isop)];
+}
+
+/// isop_function on every interval, checked against the cover path under
+/// the manager's current order; returns the functions.
+std::vector<Bdd> expect_isop_function_matches_cover(
+    BddManager& mgr, const std::vector<std::pair<Bdd, Bdd>>& intervals) {
+  std::vector<Bdd> functions;
+  for (const auto& [lower, upper] : intervals) {
+    const Bdd f = mgr.isop_function(lower, upper);
+    EXPECT_TRUE(f == mgr.isop(lower, upper).function);
+    functions.push_back(f);
+  }
+  return functions;
+}
+
+TEST(IsopKernelTest, FunctionOnlyEqualsCoverAcrossGcReorderAndReset) {
+  constexpr std::uint32_t kVars = 10;
+  constexpr std::uint32_t kSeed = 1301;
+  BddManager mgr{kVars};
+  std::vector<std::vector<bool>> first_tables;
+  {
+    const auto intervals = random_intervals(mgr, kSeed, 60);
+    const std::vector<Bdd> first =
+        expect_isop_function_matches_cover(mgr, intervals);
+
+    // Warm: root calls hit the memo and return the same edge.
+    const std::uint64_t hits = isop_hits(mgr);
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+      EXPECT_TRUE(mgr.isop_function(intervals[i].first,
+                                    intervals[i].second) == first[i]);
+    }
+    EXPECT_GE(isop_hits(mgr), hits + intervals.size() / 2);
+
+    mgr.garbage_collect();
+    EXPECT_TRUE(expect_isop_function_matches_cover(mgr, intervals) == first);
+
+    // Sifting keeps every live edge, so a surviving (old-order) entry
+    // would be found under the same key; the ISOP of some intervals does
+    // change with the order, which is what would expose it.
+    Bdd pairs = mgr.zero();
+    for (std::uint32_t i = 0; i < kVars / 2; ++i) {
+      pairs = pairs | (mgr.var(i) & mgr.var(i + kVars / 2));
+    }
+    (void)expect_isop_function_matches_cover(mgr, intervals);  // warm memo
+    const std::vector<std::uint32_t> order_before = mgr.variable_order();
+    mgr.reorder();
+    const std::vector<std::uint32_t> order_after = mgr.variable_order();
+    ASSERT_FALSE(std::equal(order_before.begin(), order_before.begin() + 3,
+                            order_after.begin()))
+        << "the sift must change the top variables";
+    const std::vector<Bdd> sifted =
+        expect_isop_function_matches_cover(mgr, intervals);
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+      changed += sifted[i] == first[i] ? 0 : 1;
+      first_tables.push_back(truth_table(first[i], kVars));
+    }
+    EXPECT_GT(changed, 0u) << "no interval's ISOP depends on the order";
+  }
+  // The memo now holds sifted-order results.  A variable-block reset
+  // restarts node indices, so rebuilding the same intervals in the
+  // identity order reuses those entries' key edges.
+  ASSERT_TRUE(mgr.reset_variables());
+  (void)mgr.add_vars(kVars);
+  const auto intervals = random_intervals(mgr, kSeed, 60);
+  const std::vector<Bdd> rebuilt =
+      expect_isop_function_matches_cover(mgr, intervals);
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    EXPECT_EQ(truth_table(rebuilt[i], kVars), first_tables[i]);
+  }
+}
+
+TEST(IsopKernelTest, FunctionOnlyChecksItsPrecondition) {
+  BddManager mgr{4};
+  EXPECT_THROW((void)mgr.isop_function(mgr.var(0), mgr.var(1)),
+               std::invalid_argument);
+  EXPECT_TRUE(mgr.isop_function(mgr.var(0), mgr.var(0)) == mgr.var(0));
+  EXPECT_TRUE(mgr.isop_function(mgr.var(0) & mgr.var(1), mgr.var(0)) ==
+              mgr.var(0));
+}
+
+TEST(IsopKernelTest, CoverPathKeepsItsCubes) {
+  // Pinned covers of the test_bdd_algorithms ISOP cases and a digest of
+  // 200 seeded random intervals' covers: any change to the cubes the
+  // cover path emits, or to their order, shows here.
+  BddManager mgr{8};
+  const auto v = [&mgr](std::uint32_t i) { return mgr.var(i); };
+  const Bdd f = (v(0) & v(1)) | ((!v(0)) & v(2)) | (v(1) & v(2));
+  EXPECT_EQ(mgr.isop(f, f).cover.to_string(), "0-1-----\n11------\n");
+  EXPECT_EQ(mgr.isop(v(0) & v(1), v(0)).cover.to_string(), "1-------\n");
+  EXPECT_EQ(mgr.isop(mgr.zero(), mgr.zero()).cover.to_string(), "");
+  EXPECT_EQ(mgr.isop(mgr.one(), mgr.one()).cover.to_string(), "--------\n");
+
+  BddManager random_mgr{8};
+  std::mt19937 rng{4242};
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a
+  std::size_t cubes = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Bdd a = random_function(random_mgr, rng, 8, 3);
+    const Bdd b = random_function(random_mgr, rng, 8, 3);
+    const IsopResult result = random_mgr.isop(a & b, a | b);
+    cubes += result.cover.cube_count();
+    for (const char c : result.cover.to_string() + "|") {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(cubes, 634u);
+  EXPECT_EQ(digest, 0x4fc4885a8ad19ad5ull);
+}
+
+/// leq_flipped(lower, upper, v) against both of its definitions, for every
+/// variable of the manager: ∃v lower ⊆ ∀v upper (the elimination test it
+/// replaces) and lower ⊆ upper[v := ¬v] (its own contract, built here by
+/// compose).  Returns how many variables were non-essential.
+std::size_t expect_leq_flipped_matches(
+    BddManager& mgr, const std::vector<std::pair<Bdd, Bdd>>& intervals) {
+  std::size_t passed = 0;
+  for (const auto& [lower, upper] : intervals) {
+    for (std::uint32_t var = 0; var < mgr.num_vars(); ++var) {
+      const std::uint64_t created = mgr.stats().nodes_created;
+      const bool fast = mgr.leq_flipped(lower, upper, var);
+      EXPECT_EQ(mgr.stats().nodes_created, created) << "built a node";
+      const std::span<const std::uint32_t> one_var(&var, 1);
+      EXPECT_EQ(fast, mgr.exists(lower, one_var)
+                          .subset_of(mgr.forall(upper, one_var)))
+          << "var " << var;
+      std::vector<Bdd> flip;
+      for (std::uint32_t w = 0; w < mgr.num_vars(); ++w) {
+        flip.push_back(w == var ? !mgr.var(w) : mgr.var(w));
+      }
+      EXPECT_EQ(fast, lower.subset_of(mgr.compose(upper, flip)));
+      // The general contract holds off intervals too (upper ⊄ lower).
+      EXPECT_EQ(mgr.leq_flipped(upper, lower, var),
+                upper.subset_of(mgr.compose(lower, flip)));
+      passed += fast ? 1 : 0;
+    }
+  }
+  return passed;
+}
+
+TEST(EssentialVarKernelTest, AgreesWithQuantificationOnFreshAndSifted) {
+  // Intervals over the middle block 2..7 of 10 variables, so the loop
+  // over all variables covers ones above, inside and below the support.
+  constexpr std::uint32_t kVars = 10;
+  BddManager mgr{kVars};
+  std::vector<Bdd> shift;
+  for (std::uint32_t w = 0; w < kVars; ++w) {
+    shift.push_back(mgr.var(w < 6 ? w + 2 : w));
+  }
+  std::vector<std::pair<Bdd, Bdd>> intervals;
+  std::mt19937 rng{1402};
+  for (int i = 0; i < 40; ++i) {
+    const Bdd a = random_function(mgr, rng, 6, 3);
+    const Bdd b = random_function(mgr, rng, 6, 3);
+    intervals.emplace_back(mgr.compose(a & b, shift),
+                           mgr.compose(a | b, shift));
+  }
+  // Variables 0, 1, 8 and 9 lie outside every support and always pass.
+  const std::size_t fresh_passed = expect_leq_flipped_matches(mgr, intervals);
+  EXPECT_GT(fresh_passed, 4 * intervals.size())
+      << "no variable of the block was ever non-essential";
+  EXPECT_LT(fresh_passed, kVars * intervals.size());
+
+  Bdd pairs = mgr.zero();
+  for (std::uint32_t i = 0; i < kVars / 2; ++i) {
+    pairs = pairs | (mgr.var(i) & mgr.var(i + kVars / 2));
+  }
+  mgr.reorder();
+  ASSERT_FALSE(mgr.has_identity_order());
+  EXPECT_EQ(expect_leq_flipped_matches(mgr, intervals), fresh_passed);
+}
+
+TEST(EssentialVarKernelTest, WarmKernelsAllocateNothing) {
+  BddManager mgr{10};
+  const auto intervals = random_intervals(mgr, 1503, 40);
+  for (const auto& [lower, upper] : intervals) {  // warm the memo
+    (void)mgr.isop_function(lower, upper);
+  }
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t created = mgr.stats().nodes_created;
+  std::size_t sink = 0;
+  for (const auto& [lower, upper] : intervals) {
+    sink += mgr.isop_function(lower, upper).is_zero() ? 1 : 0;
+    for (std::uint32_t var = 0; var < mgr.num_vars(); ++var) {
+      sink += mgr.leq_flipped(lower, upper, var) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(mgr.stats().nodes_created, created);
+  EXPECT_GT(sink, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 
 #include "benchgen/paper_relations.hpp"
 #include "benchgen/relation_suite.hpp"
@@ -275,7 +276,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, IsfMinimizerMethodTest,
 
 // ---------------------------------------------------------------------------
 // The minimize memo: IsfMinimizer::minimize results kept in the computed
-// table under BddOp::Minimize.
+// table under BddOp::Minimize, keyed on the interval (ON, upper).
 // ---------------------------------------------------------------------------
 
 /// Random ISF over `vars` variables: every minterm lands in ON, DC or OFF.
@@ -329,6 +330,62 @@ TEST(MinimizeMemoTest, HitEqualsUncachedMinimization) {
         EXPECT_EQ(minimize_hits(mgr), hits + 1) << "GC must drop the memo";
         EXPECT_TRUE(recomputed == first);
       }
+    }
+  }
+}
+
+TEST(MinimizeMemoTest, KeyIsTheInterval) {
+  // The key is (ON, upper): the same interval reached through either
+  // constructor shares one entry, and a different upper bound with the
+  // same ON does not.
+  BddManager mgr{6};
+  std::mt19937 rng{10};
+  const IsfMinimizer minimizer{};
+  for (int iter = 0; iter < 20; ++iter) {
+    const Isf isf = random_isf(mgr, rng, 6);
+    const Bdd first = minimizer.minimize(isf);
+    std::uint64_t hits = minimize_hits(mgr);
+    EXPECT_TRUE(minimizer.minimize(Isf::interval(isf.on(), isf.max())) ==
+                first);
+    EXPECT_EQ(minimize_hits(mgr), hits + 1);
+    if (isf.is_completely_specified()) {
+      continue;
+    }
+    hits = minimize_hits(mgr);
+    (void)minimizer.minimize(Isf::exact(isf.on()));
+    EXPECT_EQ(minimize_hits(mgr), hits) << "a narrower interval hit";
+  }
+}
+
+/// The minimizer as it was before the node-free essential test and the
+/// function-only ISOP: greedy ∃/∀ elimination over the upper bound's
+/// support, then the cover-building ISOP.
+Bdd quantified_reference(BddManager& mgr, const Isf& isf) {
+  Bdd lower = isf.min();
+  Bdd upper = isf.max();
+  for (const std::uint32_t var : upper.support()) {
+    const std::span<const std::uint32_t> one_var(&var, 1);
+    Bdd new_lower = mgr.exists(lower, one_var);
+    Bdd new_upper = mgr.forall(upper, one_var);
+    if (new_lower.subset_of(new_upper)) {
+      lower = std::move(new_lower);
+      upper = std::move(new_upper);
+    }
+  }
+  return mgr.isop(lower, upper).function;
+}
+
+TEST(MinimizeMemoTest, IsopMinimizationMatchesQuantifiedReference) {
+  BddManager mgr{7};
+  std::mt19937 rng{11};
+  const IsfMinimizer minimizer{};
+  for (int iter = 0; iter < 40; ++iter) {
+    const Isf isf = random_isf(mgr, rng, 7);
+    const Bdd expected = quantified_reference(mgr, isf);
+    mgr.garbage_collect();  // uncached
+    EXPECT_TRUE(minimizer.minimize(isf) == expected);
+    if (iter % 8 == 0) {
+      mgr.reorder();  // the reference is recomputed in the new order
     }
   }
 }

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "benchgen/paper_relations.hpp"
 #include "relation/enumeration.hpp"
 #include "relation/relation.hpp"
@@ -318,18 +316,59 @@ TEST_F(RelationTest, ToTableRoundTrip) {
   EXPECT_NE(table.find("11 : {10, 11}"), std::string::npos);
 }
 
-TEST_F(RelationTest, IsfEliminateVarMatchesDefinition) {
+TEST_F(RelationTest, IsfNonessentialVarMatchesDefinition) {
   // Non-essential variable elimination (Sec. 7.5).
   const Bdd x1 = mgr.var(space.inputs[0]);
   const Bdd x2 = mgr.var(space.inputs[1]);
-  // ON = x1 x2, DC = x1 !x2: x2 is non-essential (interval [x1·x2, x1]).
+  // ON = x1 x2, DC = x1 !x2: x2 is non-essential (interval [x1·x2, x1]),
+  // and abstracting it leaves the single function x1.
   const Isf isf(x1 & x2, x1 & !x2);
-  const std::optional<Isf> reduced = isf.eliminate_var(space.inputs[1]);
-  ASSERT_TRUE(reduced.has_value());
-  EXPECT_TRUE(reduced->on() == x1);
-  EXPECT_TRUE(reduced->dc().is_zero());
-  // x1 is essential: eliminating it would make ON exceed MAX.
-  EXPECT_FALSE(isf.eliminate_var(space.inputs[0]).has_value());
+  EXPECT_TRUE(mgr.leq_flipped(isf.min(), isf.max(), space.inputs[1]));
+  const std::uint32_t x2_var = space.inputs[1];
+  EXPECT_TRUE(mgr.exists(isf.min(), {&x2_var, 1}) == x1);
+  EXPECT_TRUE(mgr.forall(isf.max(), {&x2_var, 1}) == x1);
+  // x1 is essential: abstracting it would make ON exceed MAX.
+  EXPECT_FALSE(mgr.leq_flipped(isf.min(), isf.max(), space.inputs[0]));
+}
+
+TEST_F(RelationTest, IsfIntervalRejectsEmptyInterval) {
+  const Bdd x1 = mgr.var(space.inputs[0]);
+  const Bdd x2 = mgr.var(space.inputs[1]);
+  EXPECT_THROW((void)Isf::interval(x1, x1 & x2), std::invalid_argument);
+  EXPECT_THROW((void)Isf::interval(mgr.one(), x1), std::invalid_argument);
+  EXPECT_THROW((void)Isf::interval(x1, Bdd{}), std::invalid_argument);
+  const Isf isf = Isf::interval(x1 & x2, x1);
+  EXPECT_TRUE(isf.min() == (x1 & x2));
+  EXPECT_TRUE(isf.max() == x1);
+  EXPECT_TRUE(Isf::interval(x1, x1).is_completely_specified());
+}
+
+TEST_F(RelationTest, IsfDerivedSetsMatchEagerFormulas) {
+  // Every disjoint (ON, DC) pair over the two inputs: the interval form
+  // must give back DC and the OFF = ¬(ON ∨ DC) the eager form stored,
+  // and Isf::interval(ON, ON ∨ DC) must be the same ISF.
+  const Bdd x1 = mgr.var(space.inputs[0]);
+  const Bdd x2 = mgr.var(space.inputs[1]);
+  const Bdd minterms[] = {x1 & x2, x1 & !x2, (!x1) & x2, (!x1) & !x2};
+  for (unsigned code = 0; code < 81; ++code) {  // 3^4 labellings
+    Bdd on = mgr.zero();
+    Bdd dc = mgr.zero();
+    unsigned rest = code;
+    for (const Bdd& m : minterms) {
+      on = rest % 3 == 1 ? on | m : on;
+      dc = rest % 3 == 2 ? dc | m : dc;
+      rest /= 3;
+    }
+    const Isf isf(on, dc);
+    EXPECT_TRUE(isf.on() == on);
+    EXPECT_TRUE(isf.dc() == dc);
+    EXPECT_TRUE(isf.off() == !(on | dc));
+    EXPECT_TRUE(isf.max() == (on | dc));
+    EXPECT_EQ(isf.is_completely_specified(), dc.is_zero());
+    const Isf same = Isf::interval(on, on | dc);
+    EXPECT_TRUE(same.dc() == dc);
+    EXPECT_TRUE(same.off() == isf.off());
+  }
 }
 
 TEST_F(RelationTest, IsfInvariants) {

@@ -27,7 +27,10 @@ exactly 0 — a hash-only probe that allocates means the lazy-key miss
 path regressed into materializing.  Likewise every `traversal.*_allocs`
 field of bench_bdd_ops (scratch allocations per size / support /
 sat_count / serialize_bdd call) must stay exactly 0: a warm traversal
-that allocates means it stopped reusing the manager's scratch.
+that allocates means it stopped reusing the manager's scratch.  The
+same holds for every `minimize_kernels.*_allocs` field (allocations
+per warm isop_function / essential_test call): a warm call is a
+computed-table hit and must not allocate.
 """
 
 import json
@@ -79,7 +82,8 @@ def main():
     for path, value in fresh_flat.items():
         leaf = path.rsplit(".", 1)[-1]
         exact_zero = leaf in EXACT_ZERO or (
-            path.startswith("traversal.") and leaf.endswith("_allocs")
+            path.startswith(("traversal.", "minimize_kernels."))
+            and leaf.endswith("_allocs")
         )
         if exact_zero and value != 0:
             failures.append(f"{path}: {value:g} (must be 0)")
