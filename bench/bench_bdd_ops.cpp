@@ -16,6 +16,7 @@
 // overhead in isolation); the *_build benches reconstruct function trees
 // on a fresh manager (kernel + unique-table interplay, cold caches).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -673,6 +674,166 @@ void report_traversal(bench::JsonWriter* json) {
 // [traversal-end]
 
 // [minimize-kernels-begin]
+struct KernelTiming {
+  double ns = 0.0;      ///< per op
+  double allocs = 0.0;  ///< per op, after a warm-up round
+};
+
+/// Time `round` (which performs `ops` kernel calls on `mgr`) over
+/// `rounds` rounds after one untimed warm-up round, GC-ing before each
+/// one when `cold` (the GC is not timed and empties the computed table,
+/// the minimize memo with it).
+template <typename Round>
+KernelTiming time_kernel_rounds(BddManager& mgr, bool cold, std::size_t ops,
+                                int rounds, const Round& round) {
+  double ns = 0.0;
+  std::uint64_t allocs = 0;
+  round();  // warm-up: scratch and unique tables reach steady state
+  for (int r = 0; r < rounds; ++r) {
+    if (cold) {
+      mgr.garbage_collect();
+    }
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    round();
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  }
+  const double total_ops =
+      static_cast<double>(rounds) * static_cast<double>(ops);
+  return KernelTiming{ns / total_ops, static_cast<double>(allocs) / total_ops};
+}
+
+/// The ISOP width ladder behind BddManager::kIsopTableVars.  For each
+/// support width, two seeded families of intervals whose support
+/// supp(lower) ∪ supp(upper) is exactly that wide:
+///   dense:   [a ∧ b, a ∨ b] of random expression trees (large BDDs),
+///   compact: lower an OR of ANDs of adjacent variable pairs (random
+///            polarities), upper = lower ∨ (x ⊕ y) (BDDs linear in the
+///            width: the regime of structured logic),
+/// each minimized cold by the truth-table path (isop_function) and by
+/// the memoized BDD recursion (isop_function_recursive), with the
+/// truth-table path's allocations per call after a warm-up round (its
+/// scratch is reused: must be 0).  Every interval is also cross-checked —
+/// both paths must return the same edge — and the mismatches are
+/// returned.
+std::uint64_t report_isop_width_ladder(bench::JsonWriter* json) {
+  constexpr std::uint32_t kWidths[] = {6, 8, 10, 12, 14, 16};
+  constexpr std::uint32_t kVars = 16;
+  constexpr std::size_t kPool = 32;
+  constexpr int kRounds = 20;
+  static_assert(kWidths[std::size(kWidths) - 1] <= BddManager::kIsopTableVars,
+                "every ladder width must take the truth-table path");
+  using Intervals = std::vector<std::pair<Bdd, Bdd>>;
+  const auto dense = [](BddManager& mgr, std::mt19937& rng,
+                        std::uint32_t width) {
+    int depth = 1;
+    while ((1u << depth) < 2 * width) {
+      ++depth;
+    }
+    Intervals intervals;
+    while (intervals.size() < kPool) {
+      const Bdd a = random_function(mgr, rng, width, depth);
+      const Bdd b = random_function(mgr, rng, width, depth);
+      const Bdd lower = a & b;
+      const Bdd upper = a | b;
+      if ((lower | upper).support().size() == width && !lower.is_zero() &&
+          !upper.is_one() && !(lower == upper)) {
+        intervals.emplace_back(lower, upper);
+      }
+    }
+    return intervals;
+  };
+  const auto compact = [](BddManager& mgr, std::mt19937& rng,
+                          std::uint32_t width) {
+    Intervals intervals;
+    while (intervals.size() < kPool) {
+      Bdd lower = mgr.zero();
+      for (std::uint32_t v = 0; v + 1 < width; v += 2) {
+        lower = lower | (mgr.literal(v, rng() % 2 == 0) &
+                         mgr.literal(v + 1, rng() % 2 == 0));
+      }
+      const Bdd upper =
+          lower | (mgr.var(rng() % width) ^ mgr.var(rng() % width));
+      if (!(lower == upper)) {
+        intervals.emplace_back(lower, upper);
+      }
+    }
+    return intervals;
+  };
+  std::uint64_t mismatches = 0;
+  std::uint64_t sink = 0;
+  struct Rung {
+    KernelTiming table;
+    KernelTiming recursion;
+  };
+  const auto measure = [&](BddManager& mgr, const Intervals& intervals) {
+    for (const auto& [lower, upper] : intervals) {
+      mgr.garbage_collect();  // neither call may answer from the other's memo
+      const Bdd table = mgr.isop_function(lower, upper);
+      mgr.garbage_collect();
+      mismatches += table == mgr.isop_function_recursive(lower, upper) ? 0 : 1;
+    }
+    Rung rung;
+    rung.table = time_kernel_rounds(mgr, true, kPool, kRounds, [&] {
+      for (const auto& [lower, upper] : intervals) {
+        sink += mgr.isop_function(lower, upper).raw_edge();
+      }
+    });
+    rung.recursion = time_kernel_rounds(mgr, true, kPool, kRounds, [&] {
+      for (const auto& [lower, upper] : intervals) {
+        sink += mgr.isop_function_recursive(lower, upper).raw_edge();
+      }
+    });
+    return rung;
+  };
+  std::printf(
+      "\nISOP width ladder (%zu intervals per family and width, cold ns/op; "
+      "truth-table allocs/op after warm-up, must be 0):\n"
+      "          ---------------- dense ----------------   "
+      "--------------- compact ---------------\n"
+      "  width   table ns   allocs  recursion ns  ratio   "
+      "table ns   allocs  recursion ns  ratio\n",
+      kPool);
+  if (json != nullptr) {
+    json->begin_array("isop_width_ladder");
+  }
+  for (const std::uint32_t width : kWidths) {
+    BddManager mgr{kVars, 16};
+    std::mt19937 rng{700 + width};
+    const Rung d = measure(mgr, dense(mgr, rng, width));
+    mgr.garbage_collect();
+    const Rung c = measure(mgr, compact(mgr, rng, width));
+    std::printf(
+        "  %5u %10.1f   %6.3f  %12.1f  %5.2fx %10.1f   %6.3f  %12.1f  "
+        "%5.2fx\n",
+        width, d.table.ns, d.table.allocs, d.recursion.ns,
+        d.recursion.ns / d.table.ns, c.table.ns, c.table.allocs,
+        c.recursion.ns, c.recursion.ns / c.table.ns);
+    if (json != nullptr) {
+      json->begin_element();
+      json->field_int("width", width);
+      json->field_num("dense_table_ns", d.table.ns);
+      json->field_num("dense_recursion_ns", d.recursion.ns);
+      json->field_num("dense_table_allocs", d.table.allocs);
+      json->field_num("compact_table_ns", c.table.ns);
+      json->field_num("compact_recursion_ns", c.recursion.ns);
+      json->field_num("compact_table_allocs", c.table.allocs);
+      json->end_element();
+    }
+  }
+  if (json != nullptr) {
+    json->end_array();
+  }
+  std::printf("  isop_tt_mismatches %llu (must be 0)  (sink %llu)\n",
+              static_cast<unsigned long long>(mismatches),
+              static_cast<unsigned long long>(sink));
+  return mismatches;
+}
+
 /// The two kernels of ISF minimization (IsfMinimizer, Sec. 7.5) on a pool
 /// of random intervals [a ∧ b, a ∨ b]:
 ///   isop_function:  BddManager::isop_function, one call per interval,
@@ -684,7 +845,9 @@ void report_traversal(bench::JsonWriter* json) {
 /// kernel call must not allocate.  The cold cost of what each kernel
 /// replaced is recorded beside it: isop_cover (the cover-building
 /// isop().function) and quantify_test (∃v lower, ∀v upper and their leq).
-void report_minimize_kernels(bench::JsonWriter* json) {
+/// Then the ISOP width ladder.  Returns the ladder's truth-table/BDD-
+/// recursion mismatches (isop_tt_mismatches, which must be 0).
+std::uint64_t report_minimize_kernels(bench::JsonWriter* json) {
   constexpr std::uint32_t kVars = 16;
   BddManager mgr{kVars, 16};
   std::mt19937 rng{91};
@@ -703,33 +866,9 @@ void report_minimize_kernels(bench::JsonWriter* json) {
   }
   constexpr int kRounds = 40;
   std::uint64_t sink = 0;
-  struct Timing {
-    double ns = 0.0;
-    double allocs = 0.0;
-  };
-  // Time `round` (which performs `ops` kernel calls) over kRounds
-  // rounds, GC-ing before each one when `cold`.
   const auto time_rounds = [&](bool cold, std::size_t ops,
                                const auto& round) {
-    double ns = 0.0;
-    std::uint64_t allocs = 0;
-    round();  // warm-up: scratch and unique tables reach steady state
-    for (int r = 0; r < kRounds; ++r) {
-      if (cold) {
-        mgr.garbage_collect();
-      }
-      const std::uint64_t allocs_before =
-          g_alloc_count.load(std::memory_order_relaxed);
-      const auto start = std::chrono::steady_clock::now();
-      round();
-      ns += std::chrono::duration<double, std::nano>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-      allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-    }
-    const double total_ops = static_cast<double>(kRounds) *
-                             static_cast<double>(ops);
-    return Timing{ns / total_ops, static_cast<double>(allocs) / total_ops};
+    return time_kernel_rounds(mgr, cold, ops, kRounds, round);
   };
   const auto isop_function_round = [&] {
     for (const auto& [lower, upper] : intervals) {
@@ -761,14 +900,15 @@ void report_minimize_kernels(bench::JsonWriter* json) {
       }
     }
   };
-  const Timing isop_cold = time_rounds(true, kPool, isop_function_round);
-  const Timing isop_warm = time_rounds(false, kPool, isop_function_round);
-  const Timing cover_cold = time_rounds(true, kPool, isop_cover_round);
-  const Timing essential_cold =
+  const KernelTiming isop_cold = time_rounds(true, kPool, isop_function_round);
+  const KernelTiming isop_warm =
+      time_rounds(false, kPool, isop_function_round);
+  const KernelTiming cover_cold = time_rounds(true, kPool, isop_cover_round);
+  const KernelTiming essential_cold =
       time_rounds(true, support_vars, essential_round);
-  const Timing essential_warm =
+  const KernelTiming essential_warm =
       time_rounds(false, support_vars, essential_round);
-  const Timing quantify_cold =
+  const KernelTiming quantify_cold =
       time_rounds(true, support_vars, quantify_round);
 
   std::printf(
@@ -796,8 +936,13 @@ void report_minimize_kernels(bench::JsonWriter* json) {
     json->field_num("essential_test_warm_ns", essential_warm.ns);
     json->field_num("essential_test_allocs", essential_warm.allocs);
     json->field_num("quantify_test_ns", quantify_cold.ns);
+  }
+  const std::uint64_t mismatches = report_isop_width_ladder(json);
+  if (json != nullptr) {
+    json->field_int("isop_tt_mismatches", mismatches);
     json->end_object();
   }
+  return mismatches;
 }
 // [minimize-kernels-end]
 
@@ -848,7 +993,7 @@ int main(int argc, char** argv) {
   report_traversal(&json);
   // [traversal-end]
   // [minimize-kernels-begin]
-  report_minimize_kernels(&json);
+  const std::uint64_t isop_tt_mismatches = report_minimize_kernels(&json);
   // [minimize-kernels-end]
   brel::bench::write_authoring_host(json);
   json.end_object();
@@ -858,6 +1003,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nwrote %s\n", json_path.c_str());
+  }
+  if (isop_tt_mismatches != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu truth-table ISOP results differ from the BDD "
+                 "recursion's edge\n",
+                 static_cast<unsigned long long>(isop_tt_mismatches));
+    return 1;
   }
   if (!reorder_ok) {
     std::fprintf(stderr,

@@ -297,8 +297,19 @@ class BddManager {
   /// isop(lower, upper).function without building the cover: the same
   /// edge, memoized in the computed table under BddOp::Isop (the result
   /// depends on the variable order, so entries die with the table on GC,
-  /// sifting and reset_variables).  Requires lower ⊆ upper.
+  /// sifting and reset_variables).  An interval whose support
+  /// supp(lower) ∪ supp(upper) spans at most kIsopTableVars variables is
+  /// minimized on word-parallel truth tables; a wider one runs the
+  /// memoized BDD recursion.  Requires lower ⊆ upper.
   [[nodiscard]] Bdd isop_function(const Bdd& lower, const Bdd& upper);
+  /// isop_function through the memoized BDD recursion at every width —
+  /// the reference the truth-table path is measured and tested against.
+  /// Same contract and result edge as isop_function.
+  [[nodiscard]] Bdd isop_function_recursive(const Bdd& lower,
+                                            const Bdd& upper);
+  /// Widest interval support isop_function minimizes on truth tables
+  /// (chosen from bench_bdd_ops's width ladder; DESIGN.md §2).
+  static constexpr std::uint32_t kIsopTableVars = 16;
 
   /// Number of minterms of f over `num_vars_total` variables.  Exact while
   /// num_vars_total <= 52 (dyadic rationals representable in double).
@@ -640,6 +651,33 @@ class BddManager {
   template <bool kEmitCubes>
   [[nodiscard]] detail::Edge isop_rec(detail::Edge l, detail::Edge u,
                                       std::vector<Cube>* out);
+  /// One Shannon step of isop_rec on a non-terminal interval (its
+  /// terminals and memo probe are the caller's).
+  template <bool kEmitCubes>
+  [[nodiscard]] detail::Edge isop_step(detail::Edge l, detail::Edge u,
+                                       std::vector<Cube>* out);
+  /// Validated (lower, upper) edges of isop / isop_function.
+  [[nodiscard]] std::pair<detail::Edge, detail::Edge> isop_operands(
+      const Bdd& lower, const Bdd& upper, const char* caller);
+  // -- truth-table ISOP (bdd_isop.cpp) --
+  /// |supp(l) ∪ supp(u)|, or kIsopTableVars + 1 once it is wider.  Up to
+  /// kIsopTableVars it also lays out the table variables: position p
+  /// holds isop_table_var_[p], the deepest level at position 0.
+  [[nodiscard]] std::uint32_t isop_table_width(detail::Edge l,
+                                               detail::Edge u);
+  /// isop_function of a non-terminal interval laid out by
+  /// isop_table_width, on truth tables over `width` variables.
+  [[nodiscard]] detail::Edge isop_table(detail::Edge l, detail::Edge u,
+                                        std::uint32_t width);
+  /// Truth table of `e` over table positions 0..k-1 into dst.
+  void table_from_edge(detail::Edge e, std::uint32_t k, std::uint64_t* dst);
+  /// One-word table of `e`, whose support lies in positions 0..5.
+  [[nodiscard]] std::uint64_t word_from_edge(detail::Edge e);
+  /// The BDD of a table over positions 0..k-1.
+  [[nodiscard]] detail::Edge edge_from_table(const std::uint64_t* table,
+                                             std::uint32_t k);
+  [[nodiscard]] detail::Edge edge_from_word(std::uint64_t word,
+                                            std::uint32_t k);
   [[nodiscard]] detail::Edge exists_rec(detail::Edge f, detail::Edge cube);
   [[nodiscard]] detail::Edge and_exists_rec(detail::Edge f, detail::Edge g,
                                             detail::Edge cube);
@@ -780,6 +818,23 @@ class BddManager {
   std::vector<std::uint32_t> trav_stack_;    ///< DFS stack
   std::vector<std::uint64_t> trav_var_bits_; ///< support(): bit per variable
   std::vector<std::uint32_t> trav_words_;    ///< serialize_bdd node records
+  // Truth-table ISOP scratch, grown to the widest table used so a warm
+  // call allocates nothing: the operand, result and recursion tables,
+  // and the table layout (position -> variable, variable -> position;
+  // the latter is only meaningful for the current call's support).
+  std::vector<std::uint64_t> isop_arena_;
+  std::array<std::uint32_t, kIsopTableVars> isop_table_var_{};
+  std::vector<std::uint8_t> isop_table_pos_;
+  /// edge_from_word's memo, so a one-word sub-table that recurs in the
+  /// result is built once: direct-mapped word -> edge slots, valid while
+  /// their stamp equals isop_word_stamp_ (bumped per rebuilt result).
+  struct WordEdge {
+    std::uint64_t word = 0;
+    detail::Edge edge = 0;
+    std::uint32_t stamp = 0;
+  };
+  std::array<WordEdge, 256> isop_word_edges_{};
+  std::uint32_t isop_word_stamp_ = 0;
   /// Per-manager statistics — including the per-op cache counters bumped
   /// on kernel hot paths — are written without synchronization, which is
   /// sound because the whole manager is single-threaded (enforced in

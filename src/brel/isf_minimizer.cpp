@@ -71,10 +71,14 @@ Bdd run_kernel(IsfMethod method, const Isf& isf) {
 }  // namespace
 
 Bdd IsfMinimizer::minimize(const Isf& isf) const {
-  // The search minimizes most output ISFs twice — the quick-solve safety
-  // net on every generated child, then the MISF candidate when the child
-  // is expanded — so results are memoized in the manager's computed
-  // table, keyed on the interval (ON, upper) with the settings as the tag.
+  // Results are memoized in the manager's computed table, keyed on the
+  // interval (ON, upper) with the settings as the tag.  An entry lives
+  // only until the next garbage collection empties the table, so the
+  // memo catches only repeats inside one collection epoch; on large
+  // relations breadth-first search usually runs collections between a
+  // child's quick-solve safety net and its MISF candidate.  On serial
+  // 10-input x 8-output solves 70-750 of the 2032 lookups per solve hit,
+  // more where fewer collections run.
   BddManager& mgr = *isf.on().manager();
   const std::uint32_t tag = (static_cast<std::uint32_t>(method) << 1) |
                             (eliminate_nonessential ? 1u : 0u);

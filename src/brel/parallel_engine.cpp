@@ -433,32 +433,43 @@ SolveResult ParallelEngine::run() {
     }
   }
 
-  // Per-worker substrate, prepared on the coordinating thread: a private
-  // manager with the same variable order, and the root relation imported
-  // into it (direct transfer — both managers are owned by this thread
-  // until the workers start).
-  std::vector<std::unique_ptr<BddManager>> managers;
-  std::vector<std::optional<BooleanRelation>> roots;
-  managers.reserve(count);
-  roots.reserve(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    managers.push_back(std::make_unique<BddManager>(root_mgr.num_vars()));
-    Bdd chi = managers[w]->import_bdd(root_.characteristic());
-    roots.emplace_back(BooleanRelation(*managers[w], root_.inputs(),
-                                       root_.outputs(), std::move(chi)));
-  }
+  // Per-worker substrate: a private manager per worker, with the root
+  // relation rebuilt in it.  The root is serialized once here (plain
+  // data, read-only from then on); each worker constructs its manager
+  // and deserializes the root on its own thread, so that setup runs in
+  // parallel rather than ahead of every thread.  The slots are filled
+  // by their workers and read here only after join.
+  const SerializedBdd root_chi = root_mgr.serialize_bdd(root_.characteristic());
+  const std::uint32_t num_vars = root_mgr.num_vars();
+  std::vector<std::unique_ptr<BddManager>> managers(count);
+  std::vector<std::optional<BooleanRelation>> roots(count);
 
   SharedState shared(count);
   std::vector<WorkerOutcome> outcomes(count);
   std::vector<std::exception_ptr> failures(count);
 
+  // The join established happens-before; take the managers back so the
+  // merge (and the outcome and root destructors) run on this thread
+  // legally.
+  const auto join_and_rebind = [&](std::vector<std::thread>& threads) {
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    for (const std::unique_ptr<BddManager>& mgr : managers) {
+      if (mgr != nullptr) {
+        mgr->bind_to_current_thread();
+      }
+    }
+  };
   std::vector<std::thread> threads;
   threads.reserve(count);
   try {
     for (std::size_t w = 0; w < count; ++w) {
       threads.emplace_back([&, w] {
-        managers[w]->bind_to_current_thread();
         try {
+          managers[w] = std::make_unique<BddManager>(num_vars);
+          roots[w].emplace(*managers[w], root_.inputs(), root_.outputs(),
+                           managers[w]->deserialize_bdd(root_chi));
           run_worker(w, *managers[w], *roots[w], options_, start, shared,
                      outcomes[w]);
         } catch (...) {
@@ -469,19 +480,10 @@ SolveResult ParallelEngine::run() {
     }
   } catch (...) {
     shared.halt();  // thread-spawn failure: stop whoever already started
-    for (std::thread& t : threads) {
-      t.join();
-    }
+    join_and_rebind(threads);
     throw;
   }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  // The join established happens-before; take the managers back so the
-  // merge (and the outcome destructors) run on this thread legally.
-  for (const std::unique_ptr<BddManager>& mgr : managers) {
-    mgr->bind_to_current_thread();
-  }
+  join_and_rebind(threads);
   for (const std::exception_ptr& failure : failures) {
     if (failure) {
       std::rethrow_exception(failure);

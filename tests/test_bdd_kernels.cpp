@@ -16,9 +16,11 @@
 // meet).
 //
 // Then the ISF-minimization kernels: the memoized function-only ISOP must
-// return the cover path's edge across GC, sifting and variable resets,
-// the cover path keeps its pinned cubes, and the node-free essential-
-// variable test must agree with its quantified definition.
+// return the cover path's edge across GC, sifting and variable resets —
+// on truth tables at every width up to BddManager::kIsopTableVars, by the
+// BDD recursion above it, and exhaustively over 3 variables — the cover
+// path keeps its pinned cubes, and the node-free essential-variable test
+// must agree with its quantified definition.
 //
 // The last part pins the traversals that run on the manager's reusable
 // scratch (size, support, sat_count, serialize_bdd) against reference
@@ -511,6 +513,258 @@ TEST(IsopKernelTest, FunctionOnlyChecksItsPrecondition) {
   EXPECT_TRUE(mgr.isop_function(mgr.var(0), mgr.var(0)) == mgr.var(0));
   EXPECT_TRUE(mgr.isop_function(mgr.var(0) & mgr.var(1), mgr.var(0)) ==
               mgr.var(0));
+}
+
+// ---------------------------------------------------------------------------
+// The truth-table ISOP: isop_function minimizes intervals over at most
+// BddManager::kIsopTableVars variables on truth tables and wider ones by
+// the BDD recursion.  Both must return the cover path's edge, edge for
+// edge, under any variable order.
+// ---------------------------------------------------------------------------
+
+/// A random function over the variables in `vars` (random_function with
+/// its literals drawn from a given set).
+Bdd random_function_over(BddManager& mgr, std::mt19937& rng,
+                         std::span<const std::uint32_t> vars, int depth) {
+  if (depth == 0) {
+    return mgr.literal(vars[rng() % vars.size()], rng() % 2 == 0);
+  }
+  const Bdd lhs = random_function_over(mgr, rng, vars, depth - 1);
+  const Bdd rhs = random_function_over(mgr, rng, vars, depth - 1);
+  switch (rng() % 3) {
+    case 0:
+      return lhs & rhs;
+    case 1:
+      return lhs | rhs;
+    default:
+      return lhs ^ rhs;
+  }
+}
+
+/// `count` random intervals whose support supp(lower) ∪ supp(upper) is
+/// exactly `vars` (rejection-sampled).
+std::vector<std::pair<Bdd, Bdd>> intervals_of_width(
+    BddManager& mgr, std::mt19937& rng, std::span<const std::uint32_t> vars,
+    std::size_t count) {
+  std::vector<std::pair<Bdd, Bdd>> intervals;
+  int depth = 1;
+  while ((std::size_t{1} << depth) < 2 * vars.size()) {
+    ++depth;
+  }
+  for (int attempt = 0; intervals.size() < count; ++attempt) {
+    if (vars.empty()) {
+      const Bdd c = rng() % 2 == 0 ? mgr.zero() : mgr.one();
+      intervals.emplace_back(c & mgr.zero(), c);
+      continue;
+    }
+    if (attempt > 100000) {
+      ADD_FAILURE() << "no interval of width " << vars.size();
+      break;
+    }
+    const Bdd a = random_function_over(mgr, rng, vars, depth);
+    const Bdd b = random_function_over(mgr, rng, vars, depth);
+    const Bdd lower = a & b;
+    const Bdd upper = a | b;
+    std::set<std::uint32_t> support;
+    for (const Bdd& f : {lower, upper}) {
+      const std::vector<std::uint32_t> s = f.support();
+      support.insert(s.begin(), s.end());
+    }
+    if (support.size() == vars.size()) {
+      intervals.emplace_back(lower, upper);
+    }
+  }
+  return intervals;
+}
+
+/// isop_function(lower, upper) == isop(lower, upper).function and ==
+/// isop_function_recursive(lower, upper), each on an emptied computed
+/// table.  Returns the number of Isop probes the isop_function call made.
+std::uint64_t expect_table_isop_matches(BddManager& mgr, const Bdd& lower,
+                                        const Bdd& upper) {
+  mgr.garbage_collect();
+  const std::uint64_t probes_before =
+      mgr.stats().op_lookups[static_cast<std::size_t>(BddOp::Isop)];
+  const Bdd f = mgr.isop_function(lower, upper);
+  const std::uint64_t probes =
+      mgr.stats().op_lookups[static_cast<std::size_t>(BddOp::Isop)] -
+      probes_before;
+  EXPECT_TRUE(f == mgr.isop(lower, upper).function);
+  mgr.garbage_collect();
+  EXPECT_TRUE(f == mgr.isop_function_recursive(lower, upper));
+  EXPECT_TRUE(lower.subset_of(f) && f.subset_of(upper));
+  return probes;
+}
+
+TEST(IsopTableTest, EveryWidthUpToTheBddFallback) {
+  // Widths 0..K+1 over variables scattered through a larger manager, so
+  // table positions never coincide with variable ids; K+1 takes the BDD
+  // recursion, which probes the memo below the root.
+  constexpr std::uint32_t kWidest = BddManager::kIsopTableVars + 1;
+  constexpr std::uint32_t kVars = kWidest + 4;
+  BddManager mgr{kVars, 12};
+  std::mt19937 rng{1801};
+  for (std::uint32_t width = 0; width <= kWidest; ++width) {
+    std::vector<std::uint32_t> all(kVars);
+    for (std::uint32_t v = 0; v < kVars; ++v) {
+      all[v] = v;
+    }
+    std::shuffle(all.begin(), all.end(), rng);
+    const std::vector<std::uint32_t> vars(all.begin(), all.begin() + width);
+    const std::size_t count = width <= 12 ? 12 : 3;
+    for (const auto& [lower, upper] :
+         intervals_of_width(mgr, rng, vars, count)) {
+      const std::uint64_t probes =
+          expect_table_isop_matches(mgr, lower, upper);
+      if (lower == upper || lower.is_zero() || upper.is_one()) {
+        EXPECT_EQ(probes, 0u) << "width " << width << ": terminal";
+      } else if (width <= BddManager::kIsopTableVars) {
+        EXPECT_EQ(probes, 1u) << "width " << width << ": one root probe";
+      } else {
+        EXPECT_GT(probes, 1u) << "width " << width << ": BDD recursion";
+      }
+    }
+  }
+}
+
+TEST(IsopTableTest, ComplementedOperandsAndPointIntervals) {
+  constexpr std::uint32_t kVars = 12;
+  BddManager mgr{kVars, 12};
+  std::mt19937 rng{1802};
+  std::vector<std::uint32_t> vars(kVars);
+  for (std::uint32_t v = 0; v < kVars; ++v) {
+    vars[v] = v;
+  }
+  std::size_t complemented = 0;
+  for (std::uint32_t width : {3u, 6u, 7u, 9u, 12u}) {
+    const std::span<const std::uint32_t> block(vars.data() + kVars - width,
+                                               width);
+    for (const auto& [lower, upper] : intervals_of_width(mgr, rng, block, 8)) {
+      // [¬upper, ¬lower] is an interval too, reached through complement
+      // edges; so is every point interval [f, f].
+      (void)expect_table_isop_matches(mgr, !upper, !lower);
+      (void)expect_table_isop_matches(mgr, lower, lower);
+      (void)expect_table_isop_matches(mgr, !upper, !upper);
+      EXPECT_TRUE(mgr.isop_function(upper, upper) == upper);
+      complemented += detail::edge_complemented(upper.raw_edge()) ? 1 : 0;
+      complemented += detail::edge_complemented((!lower).raw_edge()) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(complemented, 0u);
+}
+
+TEST(IsopTableTest, LevelsDifferFromVariableIds) {
+  // A seeded scrambled order, then a sift of it: in both, table positions
+  // follow levels, not ids, and the result is the cover path's edge.
+  constexpr std::uint32_t kVars = 12;
+  BddManager mgr{0, 12};
+  (void)mgr.add_vars(kVars);
+  const std::vector<std::uint32_t> ranks = {7, 2, 11, 0, 5, 9,
+                                            3, 10, 1, 8, 4, 6};
+  mgr.seed_block_order(0, ranks);
+  ASSERT_FALSE(mgr.has_identity_order());
+  std::mt19937 rng{1803};
+  std::vector<std::uint32_t> vars(kVars);
+  for (std::uint32_t v = 0; v < kVars; ++v) {
+    vars[v] = v;
+  }
+  std::vector<std::pair<Bdd, Bdd>> intervals;
+  for (std::uint32_t width : {4u, 8u, 12u}) {
+    const auto some = intervals_of_width(
+        mgr, rng, std::span<const std::uint32_t>(vars.data(), width), 10);
+    intervals.insert(intervals.end(), some.begin(), some.end());
+  }
+  for (const auto& [lower, upper] : intervals) {
+    (void)expect_table_isop_matches(mgr, lower, upper);
+  }
+  Bdd pairs = mgr.zero();
+  for (std::uint32_t i = 0; i < kVars / 2; ++i) {
+    pairs = pairs | (mgr.var(i) & mgr.var(i + kVars / 2));
+  }
+  const std::vector<std::uint32_t> seeded = mgr.variable_order();
+  mgr.reorder();
+  ASSERT_FALSE(mgr.variable_order() == seeded);
+  ASSERT_FALSE(mgr.has_identity_order());
+  for (const auto& [lower, upper] : intervals) {
+    (void)expect_table_isop_matches(mgr, lower, upper);
+  }
+}
+
+TEST(IsopTableTest, AfterGarbageCollectAndVariableReset) {
+  constexpr std::uint32_t kVars = 10;
+  BddManager mgr{kVars, 12};
+  std::vector<std::uint32_t> vars(kVars);
+  for (std::uint32_t v = 0; v < kVars; ++v) {
+    vars[v] = v;
+  }
+  std::vector<std::vector<bool>> tables;
+  {
+    std::mt19937 rng{1804};
+    const auto intervals = intervals_of_width(mgr, rng, vars, 20);
+    for (const auto& [lower, upper] : intervals) {
+      (void)expect_table_isop_matches(mgr, lower, upper);
+      // Churn: dead nodes whose indices the next GC recycles.
+      (void)(lower ^ mgr.var(0));
+    }
+    mgr.garbage_collect();
+    for (const auto& [lower, upper] : intervals) {
+      const Bdd f = mgr.isop_function(lower, upper);
+      EXPECT_TRUE(f == mgr.isop(lower, upper).function);
+      tables.push_back(truth_table(f, kVars));
+    }
+  }
+  // A reset restarts node indices and the scratch layout of the last
+  // call must not leak into the next manager state.
+  ASSERT_TRUE(mgr.reset_variables());
+  (void)mgr.add_vars(kVars);
+  std::mt19937 rng{1804};
+  const auto intervals = intervals_of_width(mgr, rng, vars, 20);
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const Bdd f = mgr.isop_function(intervals[i].first, intervals[i].second);
+    EXPECT_TRUE(f == mgr.isop(intervals[i].first, intervals[i].second)
+                         .function);
+    EXPECT_EQ(truth_table(f, kVars), tables[i]);
+  }
+}
+
+TEST(IsopTableTest, ExhaustiveOverThreeVariables) {
+  // All 3^8 = 6561 intervals on 3 variables (each minterm off, don't-care
+  // or on), under the identity order and under a reversed one.
+  for (const bool reversed : {false, true}) {
+    BddManager mgr{0};
+    (void)mgr.add_vars(3);
+    if (reversed) {
+      const std::vector<std::uint32_t> ranks = {2, 1, 0};
+      mgr.seed_block_order(0, ranks);
+    }
+    std::vector<Bdd> minterms;
+    for (std::uint32_t m = 0; m < 8; ++m) {
+      Bdd cube = mgr.one();
+      for (std::uint32_t v = 0; v < 3; ++v) {
+        cube = cube & mgr.literal(v, ((m >> v) & 1u) != 0);
+      }
+      minterms.push_back(cube);
+    }
+    std::size_t checked = 0;
+    for (std::uint32_t code = 0; code < 6561; ++code) {
+      Bdd lower = mgr.zero();
+      Bdd upper = mgr.zero();
+      std::uint32_t rest = code;
+      for (std::uint32_t m = 0; m < 8; ++m, rest /= 3) {
+        if (rest % 3 == 2) {
+          lower = lower | minterms[m];
+        }
+        if (rest % 3 != 0) {
+          upper = upper | minterms[m];
+        }
+      }
+      const Bdd f = mgr.isop_function(lower, upper);
+      ASSERT_TRUE(f == mgr.isop(lower, upper).function)
+          << "interval code " << code << (reversed ? " (reversed)" : "");
+      ++checked;
+    }
+    EXPECT_EQ(checked, 6561u);
+  }
 }
 
 TEST(IsopKernelTest, CoverPathKeepsItsCubes) {

@@ -29,8 +29,10 @@ field of bench_bdd_ops (scratch allocations per size / support /
 sat_count / serialize_bdd call) must stay exactly 0: a warm traversal
 that allocates means it stopped reusing the manager's scratch.  The
 same holds for every `minimize_kernels.*_allocs` field (allocations
-per warm isop_function / essential_test call): a warm call is a
-computed-table hit and must not allocate.
+per warm isop_function / essential_test call, and per truth-table ISOP
+call of the width ladder once its scratch is warm), and
+`minimize_kernels.isop_tt_mismatches` must stay exactly 0: a truth-table
+ISOP whose edge differs from the BDD recursion's is a wrong answer.
 """
 
 import json
@@ -46,6 +48,7 @@ EXACT_ZERO = (
     "warm_explored",
     "incompatible",
     "hash_probe_allocs",
+    "isop_tt_mismatches",
 )
 
 
