@@ -523,7 +523,7 @@ void report_memo_key(bench::JsonWriter* json) {
       time_loop(kProbeRounds * kPool, [&] {
         for (std::uint64_t round = 0; round < kProbeRounds; ++round) {
           for (const MemoKeyHandle& handle : handles) {
-            (void)memo.lookup_at(handle, 1);
+            (void)memo.lookup(handle);
           }
         }
       });

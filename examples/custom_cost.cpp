@@ -84,8 +84,5 @@ int main() {
   SolverOptions best;
   best.order = ExplorationOrder::BestFirst;
   solve_with("best-first exploration", r, best);
-  SolverOptions cached;
-  cached.use_subproblem_cache = true;
-  solve_with("BFS + subproblem cache", r, cached);
   return 0;
 }

@@ -4,17 +4,18 @@
 #include <stdexcept>
 #include <utility>
 
+#include "brel/memo_exchange.hpp"
+
 namespace brel {
 
 namespace {
 
 constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
 
-// Process-global identity counters (see the member-block comment in the
+// Process-global creation sequence (see the member-block comment in the
 // header): created_seq values are the verification tokens handles carry
 // across memo instances, so they must be unique process-wide, not
-// per-memo.  begin_run() reads the same sequence for its watermark.
-std::atomic<std::uint64_t> g_run_counter{0};
+// per-memo.
 std::atomic<std::uint64_t> g_insert_seq{0};
 
 std::size_t round_up_pow2(std::size_t n) {
@@ -159,119 +160,81 @@ GlobalMemo::Shard::Map::iterator GlobalMemo::find_verified(
   return shard.map.end();
 }
 
-std::optional<MemoHit> GlobalMemo::serve(const Shard& shard,
-                                         const Entry& entry,
-                                         std::uint64_t depth) const {
-  // Any probe that finds the key counts as interest: refresh recency
-  // even for entries still too incomplete to serve, so an in-progress
-  // subtree is not the first thing the capacity bound throws away.
+std::optional<PortableSolution> GlobalMemo::serve(const Shard& shard,
+                                                  const Entry& entry) const {
   touch(shard, entry);
-  if (!entry.complete || !entry.solution.has_solution()) {
-    return std::nullopt;
-  }
-  // Depth validity (see the protocol): natural entries cover every
-  // prober at or above their producing depth, truncated entries only
-  // the exact depth whose remaining budget they reflect.
-  const bool covers = entry.complete_truncated
-                          ? depth == entry.complete_depth
-                          : depth <= entry.complete_depth;
-  if (!covers) {
+  if (!entry.solution.has_solution()) {
     return std::nullopt;
   }
   shard.hits.fetch_add(1, std::memory_order_relaxed);
   shard.hits_by_origin[static_cast<std::size_t>(entry.origin)].fetch_add(
       1, std::memory_order_relaxed);
-  return MemoHit{entry.solution, entry.complete_truncated};
+  return entry.solution;
 }
 
-std::optional<MemoHit> GlobalMemo::lookup_at(const MemoKeyHandle& key,
-                                             std::uint64_t depth) const {
-  Shard& shard = *shards_[shard_of_hash(key->hash)];
-  shard.probes.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock lk(shard.mutex);
-  const auto it = find_verified(shard, lk, *key);
-  if (it == shard.map.end()) {
+std::optional<PortableSolution> GlobalMemo::pull_from_peer(
+    MemoExchange& exchange, const GlobalMemoKey& key,
+    const CanonicalHash128& hash) {
+  std::optional<MemoExportEntry> record = exchange.pull(key);
+  if (!record.has_value() || !record->solution.has_solution()) {
     return std::nullopt;
   }
-  return serve(shard, it->second, depth);
+  // Installed before serving, so the next identical probe is a plain
+  // local hit.  The local probe already counted this probe's miss.
+  (void)install(*record, MemoOrigin::kPeer);
+  const Shard& shard = *shards_[shard_of_hash(hash)];
+  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  shard.hits_by_origin[static_cast<std::size_t>(MemoOrigin::kPeer)].fetch_add(
+      1, std::memory_order_relaxed);
+  return std::move(record->solution);
 }
 
-std::optional<MemoHit> GlobalMemo::lookup_at(const GlobalMemoKey& key,
-                                             std::uint64_t depth) const {
-  const CanonicalHash128 hash = memo_key_hash128(key);
-  Shard& shard = *shards_[shard_of_hash(hash)];
-  shard.probes.fetch_add(1, std::memory_order_relaxed);
-  const std::scoped_lock lock(shard.mutex);
-  const auto it = find_verified(shard, hash, key);
-  if (it == shard.map.end()) {
-    return std::nullopt;
+void GlobalMemo::notify_inserted(const GlobalMemoKey& key) const {
+  if (MemoExchange* const exchange = peer_.load(std::memory_order_acquire)) {
+    exchange->enqueue_push(key);
   }
-  return serve(shard, it->second, depth);
 }
 
 std::optional<PortableSolution> GlobalMemo::lookup(const MemoKeyHandle& key) {
-  if (auto hit = lookup_at(key, 0)) {
-    return std::move(hit->solution);
-  }
-  MemoBackend* const tier = fault_tier_.load(std::memory_order_acquire);
-  if (tier == nullptr) {
-    return std::nullopt;
-  }
-  // Root-miss fault: the wire needs the full canonical form, so this —
-  // and only this — miss path materializes.  Root probes are
-  // once-per-request; the interior hot path never reaches here.
-  auto faulted = tier->probe(key->get(), 0);
-  if (!faulted.has_value()) {
-    return std::nullopt;
-  }
   Shard& shard = *shards_[shard_of_hash(key->hash)];
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  shard.hits_by_origin[static_cast<std::size_t>(MemoOrigin::kPeer)].fetch_add(
-      1, std::memory_order_relaxed);
-  return std::move(faulted->solution);
+  shard.probes.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::unique_lock lk(shard.mutex);
+    if (const auto it = find_verified(shard, lk, *key);
+        it != shard.map.end()) {
+      return serve(shard, it->second);
+    }
+  }
+  // The wire needs the full canonical form, so a miss materializes the
+  // handle only when a peer is wired; a plain local miss stays hash-only.
+  MemoExchange* const exchange = peer_.load(std::memory_order_acquire);
+  if (exchange == nullptr) {
+    return std::nullopt;
+  }
+  return pull_from_peer(*exchange, key->get(), key->hash);
 }
 
 std::optional<PortableSolution> GlobalMemo::lookup(const GlobalMemoKey& key) {
-  if (auto hit = lookup_at(key, 0)) {
-    return std::move(hit->solution);
+  const CanonicalHash128 hash = memo_key_hash128(key);
+  Shard& shard = *shards_[shard_of_hash(hash)];
+  shard.probes.fetch_add(1, std::memory_order_relaxed);
+  {
+    const std::scoped_lock lock(shard.mutex);
+    if (const auto it = find_verified(shard, hash, key);
+        it != shard.map.end()) {
+      return serve(shard, it->second);
+    }
   }
-  MemoBackend* const tier = fault_tier_.load(std::memory_order_acquire);
-  if (tier == nullptr) {
+  MemoExchange* const exchange = peer_.load(std::memory_order_acquire);
+  if (exchange == nullptr) {
     return std::nullopt;
   }
-  // Root-miss fault: the next tier resolves the key (a peer pull) and —
-  // by contract — installs the full record, with its ORIGINAL mark,
-  // into this memo itself before returning, so no depth information is
-  // lost to the MemoHit narrowing.  Count the serving hit under the
-  // faulted origin; the local probe above already counted its miss.
-  auto faulted = tier->probe(key, 0);
-  if (!faulted.has_value()) {
-    return std::nullopt;
-  }
-  const Shard& shard = *shards_[shard_of(key)];
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  shard.hits_by_origin[static_cast<std::size_t>(MemoOrigin::kPeer)].fetch_add(
-      1, std::memory_order_relaxed);
-  return std::move(faulted->solution);
-}
-
-std::optional<MemoHit> GlobalMemo::probe(const GlobalMemoKey& key,
-                                         std::uint64_t depth) {
-  return lookup_at(key, depth);
-}
-
-MemoRunStamp GlobalMemo::begin_run() {
-  // Plain atomics, no lock.  A publish racing with begin_run may land a
-  // created_seq just above the start watermark — mark_complete then
-  // falls back to the creator_run check and at worst SKIPS the mark,
-  // the safe direction.
-  return MemoRunStamp{g_run_counter.fetch_add(1) + 1, g_insert_seq.load()};
+  return pull_from_peer(*exchange, key, hash);
 }
 
 GlobalMemo::Entry* GlobalMemo::emplace_entry(
     Shard& shard, const CanonicalHash128& hash,
-    std::shared_ptr<const GlobalMemoKey> key, std::uint64_t run_id,
-    MemoOrigin origin) {
+    std::shared_ptr<const GlobalMemoKey> key, MemoOrigin origin) {
   if (shard_capacity_ == 0) {
     return nullptr;
   }
@@ -285,7 +248,6 @@ GlobalMemo::Entry* GlobalMemo::emplace_entry(
   Entry fresh;
   fresh.key = std::move(key);
   fresh.origin = origin;
-  fresh.creator_run = run_id;
   fresh.created_seq = g_insert_seq.fetch_add(1) + 1;
   fresh.lru = shard.lru.end();
   const auto it = shard.map.emplace(hash, std::move(fresh)).first;
@@ -295,8 +257,7 @@ GlobalMemo::Entry* GlobalMemo::emplace_entry(
 }
 
 void GlobalMemo::publish(const MemoKeyHandle& key,
-                         const PortableSolution& solution,
-                         std::uint64_t run_id) {
+                         const PortableSolution& solution) {
   Shard& shard = *shards_[shard_of_hash(key->hash)];
   shard.publishes.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock lk(shard.mutex);
@@ -325,189 +286,80 @@ void GlobalMemo::publish(const MemoKeyHandle& key,
     (void)key->get();
     lk.lock();
   }
-  if (Entry* entry = emplace_entry(shard, key->hash, key->shared_key(),
-                                   run_id, MemoOrigin::kRun)) {
-    entry->solution = solution;
-    key->verified_seq.store(entry->created_seq, std::memory_order_relaxed);
+  Entry* entry =
+      emplace_entry(shard, key->hash, key->shared_key(), MemoOrigin::kRun);
+  if (entry == nullptr) {
+    return;
   }
+  entry->solution = solution;
+  key->verified_seq.store(entry->created_seq, std::memory_order_relaxed);
+  lk.unlock();
+  notify_inserted(key->get());
 }
 
-void GlobalMemo::publish(const GlobalMemoKey& key,
-                         const PortableSolution& solution,
-                         std::uint64_t run_id) {
-  const CanonicalHash128 hash = memo_key_hash128(key);
+GlobalMemo::Upsert GlobalMemo::upsert(const CanonicalHash128& hash,
+                                      const GlobalMemoKey& key,
+                                      const PortableSolution& solution,
+                                      std::uint64_t complete_depth,
+                                      bool root_exact, MemoOrigin origin) {
   Shard& shard = *shards_[shard_of_hash(hash)];
-  shard.publishes.fetch_add(1, std::memory_order_relaxed);
   const std::scoped_lock lock(shard.mutex);
   if (const auto it = find_verified(shard, hash, key);
       it != shard.map.end()) {
-    // Improvements to present entries never evict; the completeness bit
-    // is sticky (same-fingerprint runs only ever refine a completed
-    // subtree result downward in cost).  Cost ties fall through to the
-    // canonical order so the accumulated winner is independent of which
-    // run/worker published first — a served entry must reproduce the
-    // exact function a cold deterministic solve would keep.
+    // Improvements to present entries never evict and keep the entry's
+    // mark.  Cost ties fall through to the canonical order so the
+    // accumulated winner is independent of which run/worker published
+    // first — a served entry must reproduce the exact function a cold
+    // deterministic solve would keep.
     touch(shard, it->second);
-    if (improves(solution, it->second.solution)) {
-      it->second.solution = solution;
+    if (!improves(solution, it->second.solution)) {
+      return Upsert::kUnchanged;
     }
-    return;
+    it->second.solution = solution;
+    return Upsert::kImproved;
   }
   if (shard.map.find(hash) != shard.map.end()) {
-    return;  // collision: first key wins
+    return Upsert::kUnchanged;  // collision: first key wins
   }
-  if (Entry* entry =
-          emplace_entry(shard, hash, std::make_shared<const GlobalMemoKey>(key),
-                        run_id, MemoOrigin::kRun)) {
-    entry->solution = solution;
+  Entry* entry = emplace_entry(
+      shard, hash, std::make_shared<const GlobalMemoKey>(key), origin);
+  if (entry == nullptr) {
+    return Upsert::kUnchanged;
   }
+  entry->solution = solution;
+  entry->complete_depth = complete_depth;
+  entry->root_exact = root_exact;
+  return Upsert::kInserted;
 }
 
-void GlobalMemo::mark_complete(std::span<const MemoMark> marks,
-                               const MemoRunStamp& stamp) {
-  // Keys whose fresh mark made the entry export-eligible; notified to
-  // the completion listener AFTER the marking loop, outside every shard
-  // lock (the listener may serialize or take its own locks).  The
-  // shared_ptr from the mark itself is retained, so a concurrent
-  // eviction cannot invalidate what we hand the listener.
-  std::vector<std::shared_ptr<const GlobalMemoKey>> fresh;
-  for (const MemoMark& mark : marks) {
-    const CanonicalHash128 hash = memo_key_hash128(*mark.key);
-    Shard& shard = *shards_[shard_of_hash(hash)];
-    const std::scoped_lock lock(shard.mutex);
-    if (const auto it = find_verified(shard, hash, *mark.key);
-        it != shard.map.end()) {
-      Entry& entry = it->second;
-      // Only vouch for entries this run found already present or
-      // created itself (possibly re-created after an eviction): an
-      // entry created mid-run by a DIFFERENT run may hold only that
-      // run's partial publishes, and completing it would serve a
-      // degraded result forever.  Skipping merely costs the next
-      // identical solve a re-exploration — the safe direction.
-      const bool vouched =
-          entry.created_seq <= stamp.start_seq ||
-          (stamp.run_id != 0 && entry.creator_run == stamp.run_id);
-      if (!vouched) {
-        continue;
-      }
-      bool changed = false;
-      if (!entry.complete) {
-        entry.complete = true;
-        entry.complete_depth = mark.depth;
-        entry.complete_truncated = mark.truncated;
-        changed = true;
-      } else if (!mark.truncated) {
-        // Upgrade only: a natural claim replaces a truncated one and a
-        // deeper natural claim widens a shallower one.  A truncated
-        // claim never narrows an existing mark — both claims are
-        // individually sound, so we keep the wider.
-        if (entry.complete_truncated) {
-          entry.complete_depth = mark.depth;
-          entry.complete_truncated = false;
-          changed = true;
-        } else if (mark.depth > entry.complete_depth) {
-          entry.complete_depth = mark.depth;
-          changed = true;
-        }
-      }
-      if (changed && exportable(entry)) {
-        fresh.push_back(mark.key);
-      }
-    }
+void GlobalMemo::publish(const GlobalMemoKey& key,
+                         const PortableSolution& solution) {
+  const CanonicalHash128 hash = memo_key_hash128(key);
+  shards_[shard_of_hash(hash)]->publishes.fetch_add(1,
+                                                    std::memory_order_relaxed);
+  if (upsert(hash, key, solution, 0, true, MemoOrigin::kRun) ==
+      Upsert::kInserted) {
+    notify_inserted(key);
   }
-  if (fresh.empty()) {
-    return;
-  }
-  std::function<void(const GlobalMemoKey&)> listener;
-  {
-    const std::scoped_lock lock(listener_mutex_);
-    listener = complete_listener_;
-  }
-  if (listener) {
-    for (const std::shared_ptr<const GlobalMemoKey>& key : fresh) {
-      listener(*key);
-    }
-  }
-}
-
-void GlobalMemo::mark_complete(
-    std::span<const std::shared_ptr<const GlobalMemoKey>> keys,
-    const MemoRunStamp& stamp) {
-  std::vector<MemoMark> marks;
-  marks.reserve(keys.size());
-  for (const std::shared_ptr<const GlobalMemoKey>& key : keys) {
-    marks.push_back(MemoMark{key, kAnyDepth, false});
-  }
-  mark_complete(std::span<const MemoMark>(marks), stamp);
 }
 
 bool GlobalMemo::install(const MemoExportEntry& record, MemoOrigin origin) {
-  // The record's mark, translated back to entry form: natural at its
-  // recorded depth, or the root-exact truncated-at-0 shape.
-  const std::uint64_t depth = record.root_exact ? 0 : record.complete_depth;
-  const bool truncated = record.root_exact;
-  const CanonicalHash128 hash = memo_key_hash128(record.key);
-  Shard& shard = *shards_[shard_of_hash(hash)];
-  const std::scoped_lock lock(shard.mutex);
-  if (const auto it = find_verified(shard, hash, record.key);
-      it != shard.map.end()) {
-    Entry& entry = it->second;
-    touch(shard, entry);
-    bool changed = false;
-    // Solution improves under exactly the publish rules; the mark
-    // upgrades under exactly the mark_complete rules.  No run-stamp
-    // voucher: that voucher guards in-process races on entries still
-    // being BUILT, whereas an imported record was finished and vouched
-    // for by the drained run that exported it (and validated against
-    // this memo's fingerprint by the importing tier).
-    if (improves(record.solution, entry.solution)) {
-      entry.solution = record.solution;
-      changed = true;
-    }
-    if (!entry.complete) {
-      entry.complete = true;
-      entry.complete_depth = depth;
-      entry.complete_truncated = truncated;
-      changed = true;
-    } else if (!truncated) {
-      if (entry.complete_truncated) {
-        entry.complete_depth = depth;
-        entry.complete_truncated = false;
-        changed = true;
-      } else if (depth > entry.complete_depth) {
-        entry.complete_depth = depth;
-        changed = true;
-      }
-    }
-    return changed;
-  }
-  if (shard.map.find(hash) != shard.map.end()) {
-    return false;  // collision: first key wins
-  }
-  Entry* entry = emplace_entry(
-      shard, hash, std::make_shared<const GlobalMemoKey>(record.key), 0,
-      origin);
-  if (entry == nullptr) {
-    return false;
-  }
-  entry->solution = record.solution;
-  entry->complete = true;
-  entry->complete_depth = depth;
-  entry->complete_truncated = truncated;
-  return true;
+  return upsert(memo_key_hash128(record.key), record.key, record.solution,
+                record.complete_depth, record.root_exact,
+                origin) != Upsert::kUnchanged;
 }
 
-void GlobalMemo::export_complete(
+void GlobalMemo::export_entries(
     const std::function<void(const MemoExportEntry&)>& sink) const {
   for (const auto& shard : shards_) {
-    // Copy the eligible entries out under the lock, emit after: the
-    // sink serializes (snapshot) or sends (push) — never under a shard
-    // mutex the hot path contends on.
+    // Copy the entries out under the lock, emit after: the sink
+    // serializes (snapshot) — never under a shard mutex the hot path
+    // contends on.
     std::vector<MemoExportEntry> batch;
     {
       const std::scoped_lock lock(shard->mutex);
       for (const auto& [hash, entry] : shard->map) {
-        if (exportable(entry)) {
+        if (entry.solution.has_solution()) {
           batch.push_back(to_export(entry));
         }
       }
@@ -524,20 +376,14 @@ std::optional<MemoExportEntry> GlobalMemo::export_entry(
   Shard& shard = *shards_[shard_of_hash(hash)];
   const std::scoped_lock lock(shard.mutex);
   const auto it = find_verified(shard, hash, key);
-  if (it == shard.map.end() || !exportable(it->second)) {
+  if (it == shard.map.end() || !it->second.solution.has_solution()) {
     return std::nullopt;
   }
   return to_export(it->second);
 }
 
-void GlobalMemo::set_fault_tier(MemoBackend* tier) {
-  fault_tier_.store(tier, std::memory_order_release);
-}
-
-void GlobalMemo::set_complete_listener(
-    std::function<void(const GlobalMemoKey&)> fn) {
-  const std::scoped_lock lock(listener_mutex_);
-  complete_listener_ = std::move(fn);
+void GlobalMemo::set_peer(MemoExchange* exchange) {
+  peer_.store(exchange, std::memory_order_release);
 }
 
 std::size_t GlobalMemo::size() const {

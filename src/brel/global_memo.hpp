@@ -1,34 +1,25 @@
 #pragma once
 /// \file global_memo.hpp
-/// Tier 0 of the tiered memo store: the sharded in-memory cross-solve
-/// memo, keyed by the *manager-independent* serialized BDD form
-/// (memo_backend.hpp holds the canonical forms and the tier interface).
+/// The cross-solve memo: a sharded in-memory cache of whole answers,
+/// keyed by the *manager-independent* canonical form (memo_backend.hpp).
 ///
-/// `SubproblemCache` memoizes subtree results by raw manager-local edge:
-/// O(1) probes, but the memos are only meaningful inside the one manager
-/// (and variable assignment) that produced them.  The solver-pool service
-/// layer needs the opposite trade: many long-lived workers, each with a
-/// private `BddManager`, solving a stream of relations — a subproblem
-/// first explored by worker A (in A's manager, at A's variable offsets)
-/// must be recognizable when worker B re-generates it in B's manager
-/// while solving a later request.  `GlobalMemo` achieves that by keying
-/// on the canonical portable form (GlobalMemoKey): the rank-remapped
-/// characteristic plus the input/output rank split.  Memoized solutions
-/// are stored in the same rank-mapped serialized form and materialized
-/// into the prober's manager with `deserialize_bdd` — never a
-/// cross-manager handle.
-///
-/// What the engines store: whole answers.  Every node of one search tree
-/// is a distinct subrelation (Property 5.4), so a memo can only pay off
-/// when a later request repeats work, and service traffic repeats whole
-/// requests, not subtrees.  SearchEngine and ParallelEngine therefore
+/// Service traffic repeats whole requests, and every node of one search
+/// tree is a distinct subrelation (Property 5.4), so the only answer a
+/// memo can serve is a root answer.  SearchEngine and ParallelEngine
 /// probe once, at the root, with lookup(); a miss searches with no memo
 /// traffic at all; a drained run publishes its returned result under the
-/// root key once and marks it root-exact (publish_root_result in
-/// search.hpp).  One entry per distinct solved relation, one probe and at
-/// most one publish per solve.  The depth-indexed completeness protocol
-/// below is the memo's general contract — snapshot and peer records
-/// carry its marks — of which the engines use the root-exact case.
+/// root key once (publish_root_result in search.hpp).  One entry per
+/// distinct solved relation, one probe and at most one publish per
+/// solve.  Every entry serves: an interrupted run publishes nothing, so
+/// the memo never holds a partial answer.
+///
+/// Keys are the canonical portable form (GlobalMemoKey): the
+/// rank-remapped characteristic plus the input/output rank split, so a
+/// relation first solved by worker A (in A's manager, at A's variable
+/// offsets) is recognized when worker B parses it into B's manager.
+/// Solutions are stored in the same rank-mapped serialized form and
+/// materialized into the prober's manager with `deserialize_bdd` —
+/// never a cross-manager handle.
 ///
 /// Lifetime/GC contract: entries are PLAIN DATA — no `Bdd` handles, no
 /// pinned edges, no reference counts.  Any manager may garbage-collect at
@@ -62,37 +53,22 @@
 /// re-finds after relocking).  Counters
 /// (probes/hits/publishes/evictions) are per-shard relaxed atomics folded
 /// lazily on read, off the locked path entirely — the `BddStats` idiom.
-/// Run ids and the entry-creation sequence are process-wide atomics: a
-/// global watermark is still a valid per-shard watermark, and any race
-/// errs toward *skipping* a mark_complete, the safe direction.
+/// The entry-creation sequence is a process-wide atomic (see
+/// LazyMemoKey::verified_seq).
 ///
-/// Comparability: like `SubproblemCache`, memos are only sound between
-/// runs minimizing the same objective in the same mode.  bind() stamps
-/// the memo with a `MemoFingerprint` and mismatched reuse throws.  A
-/// memo additionally only reflects how deeply its producing run explored
-/// — share among runs of one configuration (the pool enforces this by
-/// fixing one SolverOptions for all requests).
+/// Comparability: memos are only sound between runs minimizing the same
+/// objective in the same mode.  bind() stamps the memo with a
+/// `MemoFingerprint` and mismatched reuse throws.  An entry reflects how
+/// deeply its producing run explored, so share a memo among runs of one
+/// configuration (the pool enforces this by fixing one SolverOptions for
+/// all requests).
 ///
-/// Tiering: GlobalMemo is the hot tier of a
-/// `MemoBackend` stack.  Its own probe/publish/mark paths are untouched
-/// — probe order, run-stamp vouching, and the depth-indexed completeness
-/// semantics below are exactly what they were when it was the only tier.
-/// Two cold-path hooks integrate the other tiers:
-///
-///   - a FAULT TIER (set_fault_tier): a ROOT-position lookup() that
-///     misses locally consults the next tier (the peer exchange) and, on
-///     a hit, installs the faulted entry locally before serving it.
-///     lookup_at() never faults;
-///   - a COMPLETE LISTENER (set_complete_listener): mark_complete
-///     notifies it, outside any shard lock, of every key whose new mark
-///     is eligible to cross a tier boundary — the push-gossip feed of
-///     the peer exchange.
-///
-/// install() / export_complete() / export_entry() translate between the
-/// in-memory entries and the tier-crossing `MemoExportEntry` form under
-/// the export policy documented in memo_backend.hpp: only
-/// naturally-complete entries and root-exact (truncated-at-depth-0)
-/// records ever leave; interior truncated and unmarked entries never do.
+/// Beyond the process: install() / export_entries() / export_entry()
+/// translate between entries and the `MemoExportEntry` record form the
+/// snapshot (memo_snapshot.hpp) and the peer exchange
+/// (memo_exchange.hpp) carry, and an optional peer hook (set_peer)
+/// connects the memo to the exchange: a root miss pulls from the key's
+/// owning peer, and a publish that inserts a new key queues a push to it.
 
 #include <atomic>
 #include <cstddef>
@@ -102,7 +78,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -112,72 +87,10 @@
 
 namespace brel {
 
-/// Identity of one producing run, handed out by begin_run(): a unique
-/// run id plus the entry-creation sequence watermark at run start.
-/// mark_complete() uses it to refuse flipping entries the marking run
-/// neither fed nor found already present — with LRU eviction an entry
-/// can be evicted mid-run and re-created by a *different* concurrent
-/// run holding only a partial solution, and stamping THAT entry
-/// complete would lock a degraded result into the service (the exact
-/// hazard the completeness protocol exists to prevent).
-struct MemoRunStamp {
-  std::uint64_t run_id = 0;     ///< 0 = anonymous (matches nothing)
-  std::uint64_t start_seq = 0;  ///< entries created at or before: trusted
-};
-
-/// One engine-side completeness claim about a touched key, consumed by
-/// the depth-indexed mark_complete overload.  `depth` is the root
-/// distance at which the producing run generated the subproblem;
-/// `truncated` records that the subtree under it was cut by the run's
-/// depth cap (directly, or by importing another truncated entry) rather
-/// than bottoming out naturally.  kAnyDepth marks a naturally drained
-/// subtree of a run with no depth cap at all — valid for a prober at
-/// any depth.
-struct MemoMark {
-  std::shared_ptr<const GlobalMemoKey> key;
-  std::uint64_t depth = 0;
-  bool truncated = false;
-};
+class MemoExchange;  // memo_exchange.hpp
 
 /// The cross-solve memo.  Thread-safe; entries are plain data.
-///
-/// Completeness protocol: publishes only accumulate an entry's
-/// best-so-far; lookup()/lookup_at() return nothing until the entry is
-/// marked **complete**.  A producer that ran to its natural frontier
-/// drain (not stopped by budget/timeout) may mark, per subproblem it
-/// explored, what it can vouch for (the engines make only the last,
-/// root-exact claim):
-///
-///   - a subtree cut by NOTHING (no cost-bound prune, no symmetry or
-///     subproblem-cache prune, no frontier-overflow drop, no depth-cap
-///     cut anywhere under it) is **naturally complete**: its entry is the
-///     subtree-final optimum under the memo's fingerprint.  It is marked
-///     at its producing depth d — or at kAnyDepth when the run had no
-///     depth cap — and serves any prober at depth d' <= d, because a
-///     subtree that bottomed naturally within budget d does so verbatim
-///     for every shallower (more generous) prober;
-///   - a subtree cut ONLY by the depth cap is **depth-truncated
-///     complete**: its entry is the exact result of exploring that
-///     characteristic with the remaining budget D - d, a pure function
-///     of (key, d) under one configuration, so it serves a prober at
-///     exactly d' == d (the pool fixes one SolverOptions for all
-///     requests, and the fingerprint rejects cross-objective reuse);
-///   - a subtree cut by anything else (cost bound, symmetry, cache hit,
-///     overflow) holds only a lower-quality partial memo and is not
-///     marked at all — as is every ancestor of such a cut.  The ROOT is
-///     the one exception: unless the run dropped children to frontier
-///     overflow, the root entry is exactly what the solve returned, so
-///     it is marked depth-truncated at depth 0 — faithful by
-///     construction for a prober re-solving the identical relation.
-///
-/// This is what keeps a long-lived service sound: a request that times
-/// out publishes nothing, so the next identical request re-explores
-/// instead of being served the degraded result forever.  Completeness is sticky — a later, strictly better publish
-/// (same fingerprint, so the same objective) refines a complete entry
-/// without un-completing it, and a later natural mark upgrades a
-/// truncated one (never the reverse).  The protocol is purely
-/// per-entry, so it holds unchanged per shard.
-class GlobalMemo : public MemoBackend {
+class GlobalMemo {
  public:
   /// Default (auto) shard policy when `shards == 0`: an UNLIMITED memo
   /// shards kDefaultShards ways — the long-lived service configuration,
@@ -198,131 +111,67 @@ class GlobalMemo : public MemoBackend {
   void bind(const MemoFingerprint& fp);
 
   /// The bound fingerprint (nullopt before the first bind) — the
-  /// snapshot and exchange tiers stamp/validate their records with it.
+  /// snapshot and exchange stamp/validate their records with it.
   [[nodiscard]] std::optional<MemoFingerprint> fingerprint() const;
 
-  /// Hand out this run's identity (see MemoRunStamp): call once when a
-  /// producing run starts, pass the stamp to every publish and to the
-  /// final mark_complete.
-  [[nodiscard]] MemoRunStamp begin_run();
-
-  /// Probe depth marking a no-depth-cap natural drain: valid for a
-  /// prober at any depth (see the protocol above).
-  static constexpr std::uint64_t kAnyDepth = kMemoAnyDepth;
-
-  /// Probe for `key` on behalf of a subproblem at root distance `depth`;
-  /// returns the memoized solution only when the entry is complete AND
-  /// its completeness covers that depth: naturally complete entries
-  /// serve depth' <= depth, depth-truncated entries serve exactly their
-  /// own depth (see the protocol above).  Counts a hit only when it
-  /// serves.  By-value so the record is immune to concurrent publish().
-  /// LOCAL only — never faults to another tier (the hot interior path).
+  /// Probe for `key`: the stored answer, or nullopt.  Counts a hit only
+  /// when it serves; by-value so the record is immune to a concurrent
+  /// publish().  On a local miss with a peer exchange wired (set_peer),
+  /// the key's record is pulled from its owning peer, installed locally
+  /// as MemoOrigin::kPeer and served; the next identical probe is a plain
+  /// local hit.
   ///
   /// The handle form is the two-phase probe (see the file comment): a
-  /// miss serializes nothing; a candidate hit verifies by materializing
-  /// the handle's key outside the shard lock.  The key form is the
-  /// compat path for callers that already hold a materialized key (the
-  /// exchange and snapshot tiers, tests) — identical semantics.
-  [[nodiscard]] std::optional<MemoHit> lookup_at(const MemoKeyHandle& key,
-                                                 std::uint64_t depth) const;
-  [[nodiscard]] std::optional<MemoHit> lookup_at(const GlobalMemoKey& key,
-                                                 std::uint64_t depth) const;
-
-  /// Depth-agnostic probe (root position): lookup_at(key, 0) without the
-  /// truncated-ness flag.  Every complete entry serves at depth 0 except
-  /// interior truncated ones, which only a matching-depth prober may
-  /// import.  On a local miss this — and only this — path faults
-  /// through the configured fault tier (set_fault_tier): a peer-owned
-  /// entry is pulled, installed locally, and served; the next identical
-  /// root probe is a plain local hit.  The handle form materializes its
-  /// key only when a fault tier is actually configured (the wire needs
-  /// the full canonical form); a plain local root miss stays hash-only.
+  /// miss serializes nothing unless a wired exchange needs the full
+  /// canonical form for the wire; a candidate hit verifies by materializing the
+  /// handle's key outside the shard lock.  The key form is for callers
+  /// that already hold a materialized key (the exchange, tests).
   [[nodiscard]] std::optional<PortableSolution> lookup(
       const MemoKeyHandle& key);
   [[nodiscard]] std::optional<PortableSolution> lookup(
       const GlobalMemoKey& key);
 
-  /// MemoBackend: the local lookup_at, in tier form (never faults).
-  [[nodiscard]] std::optional<MemoHit> probe(const GlobalMemoKey& key,
-                                             std::uint64_t depth) override;
-
   /// Insert-or-improve: record `solution` for `key` when the key is new
-  /// or when the cost beats the stored entry.  At capacity a brand-new
-  /// key EVICTS the least-recently-touched entry of its shard (recency
-  /// is refreshed by every lookup or publish that finds the key
-  /// present), so a long-lived service retains its hot working set
-  /// instead of freezing whatever happened to arrive first;
-  /// improvements to present keys never evict anything.  Never sets
-  /// completeness.  `run_id` (begin_run) records who created a newly
-  /// inserted entry, which is what lets mark_complete tell its own
-  /// re-created entries from a concurrent run's.
+  /// or when the cost beats the stored entry (cost ties fall through to
+  /// canonically_before, so the kept answer is independent of publish
+  /// order).  A new entry serves at once and exports as a root record.
+  /// At capacity a brand-new key EVICTS the least-recently-touched entry
+  /// of its shard (recency is refreshed by every lookup or publish that
+  /// finds the key present), so a long-lived service retains its hot
+  /// working set; improvements to present keys never evict anything.
+  /// Only an insert queues a push to a wired exchange.
   ///
   /// The handle form materializes the key only on first insert (lazily,
   /// outside the shard lock); improvements to a verified present entry
   /// never touch the serialized form at all.  A publish whose hash is
   /// held by a DIFFERENT key is dropped (first key wins; counted by
   /// collisions()).
-  void publish(const MemoKeyHandle& key, const PortableSolution& solution,
-               std::uint64_t run_id = 0);
-  void publish(const GlobalMemoKey& key, const PortableSolution& solution,
-               std::uint64_t run_id = 0);
+  void publish(const MemoKeyHandle& key, const PortableSolution& solution);
+  void publish(const GlobalMemoKey& key, const PortableSolution& solution);
 
-  /// Record the engine's per-subproblem completeness claims — the
-  /// engine calls this once its run has provably drained (see the
-  /// protocol above).  Absent keys (evicted by the capacity bound) are
-  /// skipped, and so is any entry the marking run cannot vouch for: one
-  /// created after `stamp.start_seq` by a different run (an eviction
-  /// hole re-filled by a concurrent solve's partial publishes).
-  /// Upgrade rules on an already-complete entry: a natural mark
-  /// replaces a truncated one, a deeper natural mark widens a shallower
-  /// one, and a truncated mark never downgrades anything.  The default
-  /// stamp trusts everything — the single-producer configuration, where
-  /// no foreign entry can exist.
-  void mark_complete(std::span<const MemoMark> marks,
-                     const MemoRunStamp& stamp = MemoRunStamp{
-                         0, static_cast<std::uint64_t>(-1)});
+  /// Install a process-crossing record (snapshot load, peer pull/push),
+  /// already fingerprint-validated by the caller.  A new key inserts with
+  /// the record's mark stored as opaque data; a present key's solution
+  /// improves under exactly the publish rules and its mark stays.  Never
+  /// pushes to a peer.  Returns true when anything changed.
+  bool install(const MemoExportEntry& record, MemoOrigin origin);
 
-  /// Legacy whole-run overload: every key marked naturally complete at
-  /// kAnyDepth (valid for any prober) — the pre-depth-indexed protocol,
-  /// kept for callers that vouch for full natural drains themselves.
-  void mark_complete(
-      std::span<const std::shared_ptr<const GlobalMemoKey>> keys,
-      const MemoRunStamp& stamp = MemoRunStamp{
-          0, static_cast<std::uint64_t>(-1)});
+  /// Enumerate every entry in record form (the snapshot writer).  Entries
+  /// are copied out shard by shard; the sink runs outside any shard lock.
+  void export_entries(
+      const std::function<void(const MemoExportEntry&)>& sink) const;
 
-  /// Install a tier-crossing record (snapshot load, peer pull/push).
-  /// The record arrives ALREADY COMPLETE — vouched for by the drained
-  /// run that exported it, content-addressed by its canonical key, and
-  /// fingerprint-validated by the calling tier — so installation
-  /// bypasses the run-stamp voucher (that voucher guards against
-  /// in-process races on entries still being built; an imported record
-  /// was finished in another process).  A new key inserts complete with
-  /// the record's original mark (natural at complete_depth, or
-  /// truncated-at-0 for root_exact); a present key upgrades under
-  /// exactly the mark_complete rules, and its solution improves under
-  /// exactly the publish rules.  Returns true when anything changed.
-  bool install(const MemoExportEntry& entry, MemoOrigin origin) override;
-
-  /// Enumerate every entry of the export policy (naturally complete at
-  /// any depth, or root-exact truncated-at-0) — the snapshot writer and
-  /// the push path.  Entries are copied out shard by shard; the sink
-  /// runs outside any shard lock.
-  void export_complete(const std::function<void(const MemoExportEntry&)>&
-                           sink) const override;
-
-  /// Export one key under the same policy (nullopt when absent or not
-  /// eligible) — the MEMO_PULL server path.
+  /// Export one key (nullopt when absent) — the MEMO_PULL server path
+  /// and the exchange's push loop.
   [[nodiscard]] std::optional<MemoExportEntry> export_entry(
       const GlobalMemoKey& key) const;
 
-  /// Wire the next tier for root-miss faulting (nullptr disconnects).
-  /// The tier must outlive the memo or be disconnected first.
-  void set_fault_tier(MemoBackend* tier);
-
-  /// Register the completion listener (empty function disconnects): it
-  /// receives, outside any shard lock, each key whose fresh
-  /// mark_complete made it export-eligible.  The push-gossip feed.
-  void set_complete_listener(std::function<void(const GlobalMemoKey&)> fn);
+  /// Wire the peer exchange (nullptr disconnects): a root miss calls
+  /// exchange->pull(), a publish that inserts calls enqueue_push().  The
+  /// exchange must outlive the memo or be disconnected first; a probe
+  /// racing the disconnect may still reach it, which a stopped exchange
+  /// answers with a miss and a dropped push.
+  void set_peer(MemoExchange* exchange);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -354,7 +203,7 @@ class GlobalMemo : public MemoBackend {
   /// trouble worth investigating, never a wrong answer.
   [[nodiscard]] std::uint64_t collisions() const;
   /// Hits broken down by the serving entry's origin (run / snapshot /
-  /// peer) — the per-tier accounting the STATS surface reports.
+  /// peer) — the per-origin accounting the STATS surface reports.
   [[nodiscard]] std::uint64_t hits_from(MemoOrigin origin) const;
 
  private:
@@ -375,16 +224,14 @@ class GlobalMemo : public MemoBackend {
     /// export: entries stay PLAIN DATA.
     std::shared_ptr<const GlobalMemoKey> key;
     PortableSolution solution;
-    bool complete = false;
-    /// Depth the completeness claim covers (kAnyDepth = any prober);
-    /// meaningful only while `complete` is set.
+    /// The record mark, opaque to the memo: a run's publish is a root
+    /// record; an installed record keeps the mark it arrived with.
     std::uint64_t complete_depth = 0;
-    /// Depth-truncated completeness: serves only probers at exactly
-    /// complete_depth (see the protocol above).
-    bool complete_truncated = false;
+    bool root_exact = true;
     MemoOrigin origin = MemoOrigin::kRun;  ///< who created the entry
-    std::uint64_t creator_run = 0;  ///< run_id of the inserting publish
-    std::uint64_t created_seq = 0;  ///< insertion order (for run stamps)
+    /// Process-unique creation number: the token a verified handle
+    /// caches in LazyMemoKey::verified_seq.
+    std::uint64_t created_seq = 0;
     /// Position in the shard's lru (most-recently-touched at the
     /// front).  List iterators survive splices, so a const lookup can
     /// refresh recency without touching the entry itself.
@@ -417,16 +264,10 @@ class GlobalMemo : public MemoBackend {
     shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru);
   }
 
-  /// Is `entry` eligible to cross a tier boundary?  (Call with the
-  /// shard's mutex held.)
-  [[nodiscard]] static bool exportable(const Entry& entry) noexcept {
-    return entry.complete && entry.solution.has_solution() &&
-           (!entry.complete_truncated || entry.complete_depth == 0);
-  }
-  /// Tier-crossing form of an exportable entry (mutex held).
+  /// Record form of an entry (mutex held).
   [[nodiscard]] static MemoExportEntry to_export(const Entry& entry) {
     return MemoExportEntry{*entry.key, entry.solution, entry.complete_depth,
-                           entry.complete_truncated};
+                           entry.root_exact};
   }
 
   /// Shard index for a canonical hash (stable for the memo's lifetime).
@@ -451,17 +292,34 @@ class GlobalMemo : public MemoBackend {
                                      const CanonicalHash128& hash,
                                      const GlobalMemoKey& key) const;
 
-  /// The completeness/depth gate shared by both lookup_at forms (mutex
-  /// held; `entry` already identity-verified).  Touches recency, counts
-  /// the hit, and copies the solution out.
-  std::optional<MemoHit> serve(const Shard& shard, const Entry& entry,
-                               std::uint64_t depth) const;
+  /// Serve an identity-verified entry (mutex held): touches recency,
+  /// counts the hit, and copies the solution out.
+  std::optional<PortableSolution> serve(const Shard& shard,
+                                        const Entry& entry) const;
 
-  /// Insert-or-touch an entry for (`hash`, `key`), evicting per the LRU
-  /// policy (mutex held).  Returns nullptr when shard_capacity_ is 0.
+  /// Pull `key` (hashing to `hash`) from `exchange` after a local miss;
+  /// installs and serves a returned record (a kPeer hit).
+  std::optional<PortableSolution> pull_from_peer(MemoExchange& exchange,
+                                                 const GlobalMemoKey& key,
+                                                 const CanonicalHash128& hash);
+
+  /// Queue a push of a freshly inserted `key` to a wired exchange.
+  void notify_inserted(const GlobalMemoKey& key) const;
+
+  /// Key-form insert-or-improve shared by publish and install (`hash` is
+  /// memo_key_hash128(key)): a new key inserts with the given mark and
+  /// origin, a present key's solution improves under the publish rules
+  /// (its mark stays).
+  enum class Upsert { kUnchanged, kImproved, kInserted };
+  Upsert upsert(const CanonicalHash128& hash, const GlobalMemoKey& key,
+                const PortableSolution& solution, std::uint64_t complete_depth,
+                bool root_exact, MemoOrigin origin);
+
+  /// Insert an entry for (`hash`, `key`), evicting per the LRU policy
+  /// (mutex held).  Returns nullptr when shard_capacity_ is 0.
   Entry* emplace_entry(Shard& shard, const CanonicalHash128& hash,
                        std::shared_ptr<const GlobalMemoKey> key,
-                       std::uint64_t run_id, MemoOrigin origin);
+                       MemoOrigin origin);
 
   std::size_t capacity_;        ///< total bound across shards
   std::size_t shard_capacity_;  ///< per-shard slice of the bound
@@ -470,24 +328,17 @@ class GlobalMemo : public MemoBackend {
   mutable std::mutex meta_mutex_;  ///< guards fingerprint_ only (cold)
   std::optional<MemoFingerprint> fingerprint_;
 
-  /// Next tier for root-miss faulting; plain atomic pointer because the
-  /// hookup happens before traffic (server start) and teardown after
-  /// the drain.
-  std::atomic<MemoBackend*> fault_tier_{nullptr};
+  /// The wired exchange; a plain atomic pointer because the server wires
+  /// it before traffic and disconnects it after the drain.
+  std::atomic<MemoExchange*> peer_{nullptr};
 
-  /// Completion listener (push-gossip feed); guarded by its own mutex —
-  /// mark_complete is a cold once-per-run path.
-  mutable std::mutex listener_mutex_;
-  std::function<void(const GlobalMemoKey&)> complete_listener_;
-
-  // The run-id and entry-creation sequence counters are PROCESS-GLOBAL
-  // (file-local atomics in global_memo.cpp), not members: created_seq
-  // values double as the verification tokens handles cache in
+  // The entry-creation sequence counter is PROCESS-GLOBAL (a file-local
+  // atomic in global_memo.cpp), not a member: created_seq values double
+  // as the verification tokens handles cache in
   // LazyMemoKey::verified_seq, and a handle could outlive one memo and
-  // probe another (tests do; embedders may).  Process-unique tokens
-  // make a stale token merely cost a redundant compare, never validate
-  // against the wrong entry.  A global watermark is still a valid
-  // per-memo watermark for the mark_complete voucher.
+  // probe another (tests do; embedders may).  Process-unique tokens make
+  // a stale token merely cost a redundant compare, never validate
+  // against the wrong entry.
 };
 
 }  // namespace brel

@@ -1,42 +1,32 @@
 #pragma once
 /// \file memo_backend.hpp
-/// The manager-independent canonical forms of the memo layer, plus the
-/// `MemoBackend` abstraction the tiered GlobalMemo store is built on.
+/// The manager-independent canonical forms of the memo layer.
 ///
 /// Everything here is PLAIN DATA or pure translation:
 ///
 ///   - `MemoSpace` / `GlobalMemoKey` / `PortableSolution`: the canonical
 ///     rank-remapped serialized forms that make a subproblem
 ///     content-addressable across managers, processes, and hosts (see
-///     global_memo.hpp for how the in-memory tier keys on them);
+///     global_memo.hpp for how the in-memory memo keys on them);
 ///   - the make_*/import_* translators between manager BDDs and the
 ///     canonical forms, and the text codecs the socket service and the
 ///     snapshot format share;
-///   - `MemoBackend`: the storage-tier interface.  Tier 0 is the sharded
-///     in-memory `GlobalMemo`; tier 1 (memo_snapshot.hpp) persists it to
-///     disk; tier 2 (memo_exchange.hpp) faults missing entries from peer
-///     servers over the framed-TCP wire.  A backend exchanges only
-///     `MemoExportEntry` records — complete entries a drained run
-///     vouched for — so the completeness protocol survives every tier
-///     boundary: a partial or tainted result can no more cross a disk
-///     or network hop than it can serve an in-memory probe.
+///   - `MemoExportEntry`: the record form in which an entry crosses a
+///     process boundary — written to a disk snapshot
+///     (memo_snapshot.hpp) or sent to a peer server (memo_exchange.hpp).
 ///
-/// What may cross a tier boundary: exactly the entries that can serve a
-/// ROOT-position prober (depth 0) under the in-memory protocol —
-/// naturally-complete entries (at any recorded depth; they serve every
-/// shallower prober) and the root-exact records a drained solve marks
-/// truncated-at-depth-0 (exactly what that solve returned; the only
-/// kind the engines produce, since they publish at the root only).
-/// Interior depth-truncated entries are budget-relative by construction
-/// and unmarked entries are not complete; neither serializes.  An
-/// imported record re-installs with its ORIGINAL mark (natural at its
-/// depth, or truncated-at-0), so a restored memo answers probes
-/// bit-identically to the memo that was saved.
+/// What may cross a process boundary: every memo entry, because every
+/// entry is a served answer — the root result of a drained solve
+/// (publish_root_result in search.hpp).  A record carries a mark shape:
+/// `.entry root` for a run's root answer, or `.entry natural depth=N`,
+/// the shape older releases also wrote for naturally drained subtrees.
+/// Both shapes serve a root probe; the memo stores the mark as opaque
+/// data and writes it back unchanged, so a restored memo exports
+/// exactly what was saved.  The codec rejects every other shape.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -302,69 +292,32 @@ struct MemoFingerprint {
   [[nodiscard]] bool operator==(const MemoFingerprint&) const = default;
 };
 
-/// A complete-entry probe result: the memoized solution plus whether the
-/// entry is only depth-truncated complete (see MemoMark).  Probers that
-/// import a truncated entry must propagate truncated-ness to their own
-/// ancestry or their later marks would overclaim.
-struct MemoHit {
-  PortableSolution solution;
-  bool depth_truncated = false;
-};
-
-/// Probe depth marking a no-depth-cap natural drain: valid for a prober
-/// at any depth (GlobalMemo::kAnyDepth aliases this).
+/// Depth of a `.entry natural depth=any` record: a drain with no depth
+/// cap at all.
 inline constexpr std::uint64_t kMemoAnyDepth =
     static_cast<std::uint64_t>(-1);
 
-/// Where an installed entry came from — tags per-tier hit accounting
+/// Where an installed entry came from — tags per-origin hit accounting
 /// (a warm service should show its restarts and peers paying off, not
 /// just an aggregate hit rate).
 enum class MemoOrigin : std::uint8_t {
   kRun = 0,       ///< published by a solve in this process
-  kSnapshot = 1,  ///< restored from a disk snapshot (tier 1)
-  kPeer = 2,      ///< faulted or pushed over the wire (tier 2)
+  kSnapshot = 1,  ///< restored from a disk snapshot
+  kPeer = 2,      ///< pulled or pushed over the wire from a peer
 };
 inline constexpr std::size_t kMemoOriginCount = 3;
 
-/// One entry in tier-crossing form: the canonical key, the complete
-/// solution, and its completeness claim.  Only two claim shapes may
-/// cross a tier boundary (see the file comment):
-///
-///   - `root_exact == false`: NATURALLY complete at `complete_depth`
-///     (kMemoAnyDepth for a capless drain) — serves any prober at or
-///     above that depth;
-///   - `root_exact == true`: the drained solve's final root answer,
-///     re-installed truncated-at-depth-0 — serves only a root-position
-///     prober re-solving the identical relation (`complete_depth` is 0).
+/// One entry in its process-crossing form: the canonical key, the
+/// solution, and the mark shape it was recorded under (see the file
+/// comment).  `root_exact` marks a run's root answer (`complete_depth`
+/// is then 0); otherwise the record is a natural one at `complete_depth`
+/// (kMemoAnyDepth for a capless drain).  The memo never interprets the
+/// mark: any record it holds serves a root probe.
 struct MemoExportEntry {
   GlobalMemoKey key;
   PortableSolution solution;
   std::uint64_t complete_depth = kMemoAnyDepth;
   bool root_exact = false;
-};
-
-/// A storage tier of the memo system.  Implementations: GlobalMemo
-/// (tier 0, in-memory), MemoExchange (tier 2, peer fault path).  The
-/// snapshot codec (tier 1) is a pair of free functions over this
-/// interface rather than a class — a file has no probe path.
-class MemoBackend {
- public:
-  virtual ~MemoBackend() = default;
-
-  /// Probe for `key` on behalf of a prober at root distance `depth`.
-  /// Same depth-validity contract as GlobalMemo::lookup_at.
-  [[nodiscard]] virtual std::optional<MemoHit> probe(
-      const GlobalMemoKey& key, std::uint64_t depth) = 0;
-
-  /// Install a tier-crossing entry (insert or upgrade; see
-  /// GlobalMemo::install for the upgrade rules).  Returns true when the
-  /// store changed.  `origin` tags the entry for per-tier accounting.
-  virtual bool install(const MemoExportEntry& entry, MemoOrigin origin) = 0;
-
-  /// Enumerate every entry eligible to cross a tier boundary (the
-  /// export policy above), in unspecified order.
-  virtual void export_complete(
-      const std::function<void(const MemoExportEntry&)>& sink) const = 0;
 };
 
 }  // namespace brel

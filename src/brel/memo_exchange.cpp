@@ -294,8 +294,8 @@ struct MemoExchange::Impl {
       if (owner == 0) {
         continue;  // raced a ring the enqueue already checked; harmless
       }
-      // Export NOW, not at enqueue: the entry may have been upgraded
-      // (truncated root → natural) or evicted since.
+      // Export NOW, not at enqueue: the entry may have been improved or
+      // evicted since.
       const std::optional<MemoExportEntry> record = local.export_entry(key);
       if (!record.has_value()) {
         continue;
@@ -370,9 +370,8 @@ PeerExchangeStats MemoExchange::stats() const {
   return s;
 }
 
-std::optional<MemoHit> MemoExchange::probe(const GlobalMemoKey& key,
-                                           std::uint64_t depth) {
-  if (depth != 0 || impl_->members.size() == 1 ||
+std::optional<MemoExportEntry> MemoExchange::pull(const GlobalMemoKey& key) {
+  if (impl_->members.size() == 1 ||
       impl_->stopping.load(std::memory_order_acquire)) {
     return std::nullopt;
   }
@@ -381,26 +380,12 @@ std::optional<MemoHit> MemoExchange::probe(const GlobalMemoKey& key,
     return std::nullopt;  // we own it; the local miss is authoritative
   }
   impl_->pulls.fetch_add(1, std::memory_order_relaxed);
-  const std::optional<MemoExportEntry> entry =
+  std::optional<MemoExportEntry> entry =
       impl_->pull(impl_->members[owner], key);
-  if (!entry.has_value()) {
-    return std::nullopt;
+  if (entry.has_value()) {
+    impl_->pull_hits.fetch_add(1, std::memory_order_relaxed);
   }
-  // Install the full record — ORIGINAL mark preserved — before serving,
-  // so the next identical probe is a plain local hit (and so the
-  // GlobalMemo fault path loses no depth information to this MemoHit).
-  impl_->local.install(*entry, MemoOrigin::kPeer);
-  impl_->pull_hits.fetch_add(1, std::memory_order_relaxed);
-  return MemoHit{entry->solution, entry->root_exact};
-}
-
-bool MemoExchange::install(const MemoExportEntry& entry, MemoOrigin origin) {
-  return impl_->local.install(entry, origin);
-}
-
-void MemoExchange::export_complete(
-    const std::function<void(const MemoExportEntry&)>& sink) const {
-  impl_->local.export_complete(sink);
+  return entry;
 }
 
 }  // namespace brel

@@ -1,9 +1,8 @@
 #pragma once
 /// \file memo_exchange.hpp
-/// Tier 2 of the tiered memo store: peer exchange of complete memo
-/// entries between brel_server processes, over the same framed-TCP wire
-/// the solve traffic uses (server.hpp) — the `MEMO_PULL` / `MEMO_PUSH`
-/// verbs.
+/// Peer exchange of memo entries between brel_server processes, over the
+/// same framed-TCP wire the solve traffic uses (server.hpp) — the
+/// `MEMO_PULL` / `MEMO_PUSH` verbs.
 ///
 /// Ownership is CONSISTENT HASHING over the canonical key hash
 /// (memo_key_hash): every member — self plus each `--memo-peers` entry
@@ -14,25 +13,24 @@
 /// owns this key" needs no coordination, and adding a member remaps
 /// only the slice of keyspace it takes over.
 ///
-/// Two flows, both carrying only export-policy records (see
-/// memo_backend.hpp — naturally-complete entries and root-exact
-/// records; a partial or tainted result cannot cross the wire):
+/// The server wires the exchange into its memo once, with
+/// GlobalMemo::set_peer.  Two flows, both carrying
+/// `MemoExportEntry` records — every memo entry is a drained solve's
+/// answer, so a partial result cannot cross the wire:
 ///
-///   - PULL (the fault path): a ROOT-position lookup that misses the
-///     local memo and whose key is owned by a peer sends `MEMO_PULL`
-///     with the canonical key to the owner; a hit installs the pulled
-///     record (with its original mark) into the local memo and serves
-///     it.  Only GlobalMemo::lookup's depth-0 path faults; lookup_at
-///     never pulls.  The owner answers from its LOCAL memo only
-///     (Server's handler uses export_entry, not lookup), so two peers
-///     can never recurse into each other;
-///   - PUSH (the gossip path): GlobalMemo's completion listener feeds
-///     every freshly export-eligible key into a bounded queue; a
-///     background thread exports each record and sends `MEMO_PUSH` to
-///     its owner, so the owner accumulates its keyspace slice without
-///     waiting to be asked.  Keys this member owns itself are skipped
-///     at enqueue; a full queue drops (counted) rather than blocks —
-///     gossip is an optimization, never backpressure on a drain.
+///   - PULL: a root lookup() that misses the local memo calls pull();
+///     for a key owned by a peer it sends `MEMO_PULL` with the canonical
+///     key to the owner, and a returned record is installed locally and
+///     served.  The owner answers from its LOCAL memo only (Server's
+///     handler uses export_entry, not lookup), so two peers can never
+///     recurse into each other;
+///   - PUSH: a publish that inserts a new key calls enqueue_push(); a
+///     background thread exports each queued record and sends
+///     `MEMO_PUSH` to its owner, so the owner accumulates its keyspace
+///     slice without waiting to be asked.  An improvement to a present
+///     entry is not pushed.  Keys this member owns itself are skipped at
+///     enqueue; a full queue drops (counted) rather than blocks — gossip
+///     is an optimization, never backpressure on a drain.
 ///
 /// Failure model: peers are an accelerator tier, not a dependency.
 /// Every wire failure — connect refusal, pull timeout (`SO_RCVTIMEO`-
@@ -46,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,7 +63,7 @@ struct PeerExchangeOptions {
   int pull_timeout_ms = 250;
   /// Virtual ring points per member (evens out ownership slices).
   std::size_t replicas = 16;
-  /// Bound of the push queue; beyond it fresh completions are dropped
+  /// Bound of the push queue; beyond it fresh inserts are dropped
   /// (counted in stats().push_dropped), never blocked on.
   std::size_t push_queue_limit = 1024;
 };
@@ -76,18 +75,18 @@ struct PeerExchangeStats {
   std::uint64_t pull_failures = 0;  ///< connect/timeout/malformed replies
   std::uint64_t pushes = 0;         ///< MEMO_PUSH frames delivered
   std::uint64_t push_failures = 0;  ///< sends that failed or were refused
-  std::uint64_t push_dropped = 0;   ///< completions dropped (queue full)
+  std::uint64_t push_dropped = 0;   ///< inserts dropped (queue full)
 };
 
-/// The exchange tier.  Construct over the local (tier-0) memo, start(),
-/// then wire it in: set_fault_tier(this) routes root misses through
-/// probe(), set_complete_listener(… enqueue_push …) feeds the gossip.
-/// stop() (idempotent, also run by the destructor) joins the push
-/// thread; DISCONNECT the memo's hooks before destroying the exchange.
-class MemoExchange : public MemoBackend {
+/// The exchange.  Construct over the local memo, start(), then wire it
+/// in with GlobalMemo::set_peer.  pull() and enqueue_push() are
+/// thread-safe.  stop() (idempotent, also run by the destructor) joins
+/// the push thread; DISCONNECT the memo's peer before destroying the
+/// exchange.
+class MemoExchange {
  public:
   MemoExchange(GlobalMemo& local, PeerExchangeOptions options);
-  ~MemoExchange() override;
+  ~MemoExchange();
 
   MemoExchange(const MemoExchange&) = delete;
   MemoExchange& operator=(const MemoExchange&) = delete;
@@ -102,23 +101,17 @@ class MemoExchange : public MemoBackend {
     return owner_of(key) == 0;
   }
 
-  /// Feed of the local memo's completion listener: queue `key` for a
-  /// MEMO_PUSH to its owner (skipped immediately when self-owned).
+  /// The PULL path: fetch `key`'s record from its owning peer.  nullopt
+  /// when this member owns the key (the local miss is authoritative),
+  /// after stop(), or on any wire failure or MISS.  The caller
+  /// (GlobalMemo::lookup) installs a returned record.
+  [[nodiscard]] std::optional<MemoExportEntry> pull(const GlobalMemoKey& key);
+
+  /// The PUSH path: queue `key` for a MEMO_PUSH to its owner (skipped
+  /// immediately when self-owned).
   void enqueue_push(const GlobalMemoKey& key);
 
   [[nodiscard]] PeerExchangeStats stats() const;
-
-  // MemoBackend --------------------------------------------------------
-  /// The PULL fault path.  Only acts for depth == 0 (the root position)
-  /// on peer-owned keys; a hit has ALREADY been installed into the
-  /// local memo (original mark, MemoOrigin::kPeer) when this returns.
-  [[nodiscard]] std::optional<MemoHit> probe(const GlobalMemoKey& key,
-                                             std::uint64_t depth) override;
-  /// Delegates to the local memo (records arriving out of band).
-  bool install(const MemoExportEntry& entry, MemoOrigin origin) override;
-  /// Delegates to the local memo.
-  void export_complete(const std::function<void(const MemoExportEntry&)>&
-                           sink) const override;
 
  private:
   struct Impl;

@@ -205,10 +205,10 @@ MemoExportEntry read_memo_entry(std::istream& in) {
       }
     }
   } else {
-    // The export policy has exactly two shapes.  In particular `.entry
-    // truncated` (an interior depth-truncated claim) is REJECTED here,
-    // not parsed-and-ignored: a budget-relative or tainted result must
-    // not enter a memo through a hand-edited or corrupted snapshot.
+    // A record has exactly two shapes.  In particular `.entry truncated`
+    // (an interior depth-truncated claim) is REJECTED here, not
+    // parsed-and-ignored: a budget-relative or tainted result must not
+    // enter a memo through a hand-edited or corrupted snapshot.
     fail("unsupported .entry shape (only 'natural' and 'root' may cross "
          "a tier boundary)");
   }
@@ -264,7 +264,7 @@ SnapshotSaveResult save_memo_snapshot(const GlobalMemo& memo,
   // and export order should not interleave with shard locking.
   std::vector<MemoExportEntry> entries;
   if (fp.has_value()) {
-    memo.export_complete(
+    memo.export_entries(
         [&entries](const MemoExportEntry& e) { entries.push_back(e); });
   }
   os << "brelmemo 1\n";

@@ -1,7 +1,7 @@
 #pragma once
 /// \file memo_snapshot.hpp
-/// Tier 1 of the tiered memo store: a versioned text snapshot of every
-/// export-eligible GlobalMemo entry, written at service drain
+/// Memo persistence: a versioned text snapshot of every GlobalMemo
+/// entry, written at service drain
 /// (`--memo-save=PATH`) and restored at the next start
 /// (`--memo-load=PATH`) so a restarted server warms from yesterday's
 /// traffic instead of re-exploring it.
@@ -27,13 +27,14 @@
 ///   └────────────────────────────────────────────────────────────────
 ///   .endmemo <count>
 ///
-/// Only the two export-policy shapes are representable: `.entry
-/// natural` (naturally complete at its recorded depth) and `.entry
-/// root` (a drained solve's root answer, re-installed truncated at
-/// depth 0).  There is deliberately NO syntax for an interior
-/// depth-truncated or unmarked entry — and the loader rejects any
-/// unrecognized `.entry` shape — so a partial or tainted result cannot
-/// cross the persistence boundary even by a hand-edited file.
+/// Only two mark shapes are representable: `.entry root` (a drained
+/// solve's root answer — what every run publish saves as) and `.entry
+/// natural` (a naturally drained subtree at its recorded depth, written
+/// by older releases).  The memo stores the mark as opaque data and
+/// writes it back unchanged; both shapes serve a root probe.  There is
+/// deliberately NO syntax for any other shape, and the loader rejects
+/// an unrecognized `.entry` line, so a hand-edited file cannot smuggle
+/// in a partial result.
 ///
 /// The loader NEVER throws past itself and never half-installs: each
 /// entry is buffered to its `.endentry` line and parsed in isolation,
@@ -69,7 +70,7 @@ struct SnapshotLoadResult {
   std::string error;
 };
 
-/// Deterministic content checksum of one tier-crossing record (the
+/// Deterministic content checksum of one record (the
 /// `check=` field): 64-bit FNV over the canonical key hash, the mark
 /// shape, and the solution body.  Exposed so tests can forge/verify.
 [[nodiscard]] std::uint64_t memo_entry_checksum(const MemoExportEntry& e);
@@ -89,17 +90,17 @@ void write_memo_fingerprint(std::ostream& os, const MemoFingerprint& fp);
 [[nodiscard]] std::optional<MemoFingerprint> read_memo_fingerprint(
     std::istream& in);
 
-/// Write one tier-crossing record in the per-entry grammar above (also
+/// Write one record in the per-entry grammar above (also
 /// the body of a MEMO_PUSH frame and a MEMO_PULL reply).
 void write_memo_entry(std::ostream& os, const MemoExportEntry& e);
 
 /// Parse one per-entry section (the text between and including `.entry`
 /// and `.endentry`).  Throws std::invalid_argument on malformed input,
-/// checksum mismatch, or a shape outside the export policy — callers
+/// checksum mismatch, or a shape other than `natural` and `root` — callers
 /// (snapshot loader, wire handlers) catch and skip/reject.
 [[nodiscard]] MemoExportEntry read_memo_entry(std::istream& in);
 
-/// Serialize every export-eligible entry of `memo` to `os` / `path`.
+/// Serialize every entry of `memo` to `os` / `path`.
 /// The fingerprint header comes from memo.fingerprint(); an unbound
 /// memo saves an empty snapshot with an empty cost id.
 SnapshotSaveResult save_memo_snapshot(const GlobalMemo& memo,

@@ -26,10 +26,9 @@ namespace {
 
 /// A subproblem in flight between two managers: plain data, no handles,
 /// safe to hand across threads (see bdd_transfer.hpp).  The push-time
-/// best-first candidate and the cache ancestor chain do not travel — the
-/// thief re-seeds the priority and starts a fresh chain in its own cache.
-/// Nothing memo-related travels either: the cross-solve memo is probed
-/// and published by the coordinator, at the root only.
+/// best-first candidate does not travel — the thief re-seeds the
+/// priority.  Nothing memo-related travels either: the cross-solve memo
+/// is probed and published by the coordinator, at the root only.
 struct InjectedSubproblem {
   SerializedBdd chi;
   std::size_t depth = 0;
@@ -199,12 +198,6 @@ bool acquire_injected(SearchContext& ctx, SharedState& shared,
     Subproblem sub{BooleanRelation(ctx.mgr, root.inputs(), root.outputs(),
                                    std::move(chi)),
                    item.depth};
-    if (ctx.cache != nullptr) {
-      // The victim's ancestor chain is meaningless here (other manager's
-      // edges); enter this subtree into our cache and restart the chain.
-      (void)ctx.cache->seen_before_or_insert(sub.rel.characteristic());
-      sub.ancestors.push_back(sub.rel.characteristic().raw_edge());
-    }
     seed_priority(ctx, sub, frontier);
     frontier.push_root(std::move(sub));  // stolen work is never dropped
   }
@@ -233,14 +226,6 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
     ctx.symmetries.emplace(mgr, root.outputs(),
                            options.symmetry_second_order);
   }
-  std::unique_ptr<SubproblemCache> cache;
-  if (options.use_subproblem_cache) {
-    // Worker-private (keyed by this manager's edges; see the ctor check).
-    cache = std::make_unique<SubproblemCache>(
-        options.subproblem_cache_capacity);
-    cache->bind(make_cache_fingerprint(root, options, ctx.cost));
-    ctx.cache = cache.get();
-  }
   // The rank tables are per-worker because they reference this worker's
   // manager variables; all workers mirror the coordinator's variable
   // layout, so every worker produces identical canonical forms.  They
@@ -257,6 +242,7 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
   // all workers start in the same order.
   const ReorderMode reorder_mode = resolve_reorder_mode(options.reorder);
   const std::uint64_t reorders_before = mgr.stats().reorders;
+  const std::uint64_t swaps_before = mgr.stats().reorder_swaps;
   if (reorder_mode == ReorderMode::On) {
     mgr.reorder();
   } else if (reorder_mode == ReorderMode::Auto) {
@@ -271,17 +257,10 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
       (void)ctx.symmetries->seen_before_or_insert(root.characteristic());
     }
     Subproblem root_item{root, 0};
-    if (ctx.cache != nullptr) {
-      (void)ctx.cache->seen_before_or_insert(root.characteristic());
-      root_item.ancestors.push_back(root.characteristic().raw_edge());
-    }
     MultiFunction quick = quick_solve(root, options.minimizer);
     ++ctx.stats.quick_solutions;
     ++ctx.stats.solutions_seen;
     const double quick_cost = ctx.cost(quick);
-    if (ctx.cache != nullptr) {
-      ctx.cache->improve(root_item.ancestors, quick, quick_cost);
-    }
     ctx.best_cost = quick_cost;
     ctx.best = std::move(quick);
     seed_priority(ctx, root_item, *frontier);
@@ -330,6 +309,8 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
 
   ctx.stats.reorders =
       static_cast<std::size_t>(mgr.stats().reorders - reorders_before);
+  ctx.stats.reorder_swaps =
+      static_cast<std::size_t>(mgr.stats().reorder_swaps - swaps_before);
   ctx.stats.runtime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -343,26 +324,6 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
                   tie_space, out.best, out.best_cost));
   }
   out.stats = ctx.stats;
-}
-
-/// Counter-wise sum of two stats records (the flags merge by OR).
-void accumulate_stats(SolverStats& into, const SolverStats& from) {
-  into.relations_explored += from.relations_explored;
-  into.splits += from.splits;
-  into.quick_solutions += from.quick_solutions;
-  into.misf_minimizations += from.misf_minimizations;
-  into.conflicts += from.conflicts;
-  into.pruned_by_cost += from.pruned_by_cost;
-  into.pruned_by_symmetry += from.pruned_by_symmetry;
-  into.pruned_by_cache += from.pruned_by_cache;
-  into.memo_hits += from.memo_hits;
-  into.fifo_overflow += from.fifo_overflow;
-  into.depth_limited += from.depth_limited;
-  into.solutions_seen += from.solutions_seen;
-  into.steal_batches += from.steal_batches;
-  into.reorders += from.reorders;
-  into.lock_wait_ns += from.lock_wait_ns;
-  into.budget_exhausted = into.budget_exhausted || from.budget_exhausted;
 }
 
 }  // namespace
@@ -386,8 +347,7 @@ ParallelEngine::ParallelEngine(const BooleanRelation& root,
   if (options_.subproblem_cache != nullptr) {
     throw std::invalid_argument(
         "ParallelEngine: a shared SubproblemCache is keyed by one "
-        "manager's edges and cannot serve per-worker managers; use "
-        "use_subproblem_cache for worker-private caches instead");
+        "manager's edges and cannot serve per-worker managers");
   }
   if (options_.global_memo != nullptr) {
     // The manager-independent memo CAN serve per-worker managers; fail
@@ -496,7 +456,7 @@ SolveResult ParallelEngine::run() {
   for (std::size_t w = 0; w < count; ++w) {
     const WorkerOutcome& outcome = outcomes[w];
     result.worker_stats.push_back(outcome.stats);
-    accumulate_stats(result.stats, outcome.stats);
+    result.stats.accumulate(outcome.stats);
     if (outcome.best.outputs.empty()) {
       continue;
     }
@@ -539,8 +499,7 @@ SolveResult ParallelEngine::run() {
   // manager.
   if (options_.global_memo != nullptr && !result.stats.budget_exhausted &&
       result.stats.fifo_overflow == 0) {
-    publish_root_result(*options_.global_memo, root_key,
-                        *outcomes[winner].best_portable);
+    options_.global_memo->publish(root_key, *outcomes[winner].best_portable);
   }
 
   // Transfer the winning solution back into the caller's manager.

@@ -56,8 +56,7 @@ class ParallelEngine {
   /// Copies the root and options (the engine outlives temporaries).
   /// Throws std::invalid_argument when the relation is not well defined,
   /// and when `options.subproblem_cache` is set — a shared cache is keyed
-  /// by one manager's edges and cannot serve per-worker managers; use
-  /// `use_subproblem_cache` for worker-private caches instead.
+  /// by one manager's edges and cannot serve per-worker managers.
   ParallelEngine(const BooleanRelation& root, const SolverOptions& options);
 
   /// Run the workers to completion (all frontiers and the injection

@@ -83,27 +83,7 @@ SolveResult solve_partitioned(const BooleanRelation& r,
           result.function.outputs[o] | (cube & block.function.outputs[o]);
     }
 
-    const SolverStats& b = block.stats;
-    stats.relations_explored += b.relations_explored;
-    stats.splits += b.splits;
-    stats.quick_solutions += b.quick_solutions;
-    stats.misf_minimizations += b.misf_minimizations;
-    stats.conflicts += b.conflicts;
-    stats.pruned_by_cost += b.pruned_by_cost;
-    stats.pruned_by_symmetry += b.pruned_by_symmetry;
-    stats.pruned_by_cache += b.pruned_by_cache;
-    stats.memo_hits += b.memo_hits;
-    stats.fifo_overflow += b.fifo_overflow;
-    stats.depth_limited += b.depth_limited;
-    stats.solutions_seen += b.solutions_seen;
-    stats.workers = std::max(stats.workers, b.workers);
-    stats.steals += b.steals;
-    stats.steal_batches += b.steal_batches;
-    stats.reorders += b.reorders;
-    stats.delta_reused += b.delta_reused;
-    stats.delta_researched += b.delta_researched;
-    stats.budget_exhausted = stats.budget_exhausted || b.budget_exhausted;
-    stats.lock_wait_ns += b.lock_wait_ns;
+    stats.accumulate(block.stats);
   }
 
   const CostFunction cost =

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -151,15 +150,6 @@ void SearchContext::record_solution(const Subproblem& from, MultiFunction f,
     cache->improve(from.ancestors, f, solution_cost);
   }
   offer_solution(std::move(f), solution_cost);
-}
-
-void publish_root_result(GlobalMemo& memo, const MemoKeyHandle& root_key,
-                         const PortableSolution& solution) {
-  const MemoRunStamp stamp = memo.begin_run();
-  memo.publish(root_key, solution, stamp.run_id);
-  // The publish materialized the handle, so shared_key() is a plain read.
-  const MemoMark mark{root_key->shared_key(), 0, true};
-  memo.mark_complete(std::span<const MemoMark>(&mark, 1), stamp);
 }
 
 CacheFingerprint make_cache_fingerprint(const BooleanRelation& root,
@@ -324,10 +314,6 @@ SearchEngine::SearchEngine(const BooleanRelation& root,
     ctx_.symmetries.emplace(ctx_.mgr, root_.outputs(),
                             options_.symmetry_second_order);
   }
-  if (cache_ == nullptr && options_.use_subproblem_cache) {
-    cache_ =
-        std::make_shared<SubproblemCache>(options_.subproblem_cache_capacity);
-  }
   if (cache_ != nullptr) {
     // Enforce the comparability contract before the first probe: a cache
     // warmed under a different objective/mode/space must not prune us.
@@ -452,14 +438,16 @@ SolveResult SearchEngine::run() {
     expand_subproblem(ctx_, frontier_->pop(), *frontier_);
   }
 
-  // Publish-once (see publish_root_result): an interrupted run (budget or
-  // timeout stop) or one that dropped children to frontier overflow
-  // publishes nothing, so a later identical solve re-explores rather than
-  // inheriting a degraded result forever.
+  // Publish-once: whatever cut the run's subtrees, a drained run's entry
+  // IS what it returned, so it serves exactly a re-solve of the same
+  // relation under the same configuration.  An interrupted run (budget
+  // or timeout stop) or one that dropped children to frontier overflow
+  // publishes nothing, so a later identical solve re-explores rather
+  // than inheriting a degraded result forever.
   if (memo != nullptr && !ctx_.stats.budget_exhausted &&
       ctx_.stats.fifo_overflow == 0) {
-    publish_root_result(
-        *memo, root_key,
+    memo->publish(
+        root_key,
         ctx_.best_portable.has_value()
             ? *ctx_.best_portable
             : make_portable_solution(*memo_space_, ctx_.best,

@@ -8,7 +8,7 @@
 ///   BrelSolver (facade, solver.hpp)
 ///     └─ SearchEngine (driver loop, this file)
 ///          ├─ Frontier            exploration order (frontier.hpp)
-///          ├─ SubproblemCache     whole-tree dedup (subproblem_cache.hpp)
+///          ├─ SubproblemCache     caller-shared cross-solve dedup (subproblem_cache.hpp)
 ///          ├─ SymmetryCache       near-root symmetry pruning (symmetry.hpp)
 ///          ├─ GlobalMemo          whole-answer cache, root only (below)
 ///          └─ SearchContext       incumbent / bound / stats / deadline
@@ -30,9 +30,9 @@
 /// (Property 5.4), so within a run the memo can never hit; across runs,
 /// service traffic repeats whole requests, not subtrees.  The engines
 /// therefore probe the memo once, at the root, and on a miss search with
-/// no memo traffic at all; a drained run publishes its returned result
-/// under the root key once (publish_root_result), and an interrupted run
-/// publishes nothing.
+/// no memo traffic at all; a drained run — no budget or timeout stop and
+/// no frontier-overflow drop — publishes its returned result under the
+/// root key once, and an interrupted run publishes nothing.
 
 #include <chrono>
 #include <limits>
@@ -71,8 +71,7 @@ struct SearchContext {
 
   std::optional<SymmetryCache> symmetries;
 
-  /// Engine-owned or caller-shared (SolverOptions::subproblem_cache);
-  /// null when disabled.
+  /// The caller-shared SolverOptions::subproblem_cache; null when unset.
   SubproblemCache* cache = nullptr;
 
   /// Rank space for the canonical equal-cost tie order (see
@@ -97,17 +96,6 @@ struct SearchContext {
   void record_solution(const Subproblem& from, MultiFunction f,
                        double solution_cost);
 };
-
-/// Publish a drained run's returned result under its root key, once, and
-/// mark it root-exact (depth-truncated at 0; see the protocol in
-/// global_memo.hpp): whatever cut the run's subtrees, the entry IS what
-/// the run returned, so it serves exactly a re-solve of the same relation
-/// under the same configuration.  The engines call this only when the run
-/// drained — no budget or timeout stop and no frontier-overflow drop — so
-/// a partial result is never published at all.  Shared by the serial
-/// engine and the parallel coordinator.
-void publish_root_result(GlobalMemo& memo, const MemoKeyHandle& root_key,
-                         const PortableSolution& solution);
 
 /// The comparability stamp the engines bind their caches with (see
 /// CacheFingerprint): the resolved cost identity, the exploration mode,
@@ -181,7 +169,7 @@ class SearchEngine {
   // outlives temporaries passed to its constructor.
   const BooleanRelation root_;
   const SolverOptions options_;
-  std::shared_ptr<SubproblemCache> cache_;  ///< keeps a shared cache alive
+  std::shared_ptr<SubproblemCache> cache_;  ///< keeps the shared cache alive
   /// Rank tables for this root — shared because HASHED key handles hold
   /// a reference until they materialize.
   std::shared_ptr<const MemoSpace> memo_space_;

@@ -265,9 +265,9 @@ struct Server::Impl {
   std::atomic<std::uint64_t> peer_pulls_served{0};
   std::atomic<std::uint64_t> peer_pushes_received{0};
 
-  /// Tier 2 (nullptr when no peers were configured).  Created in
-  /// start() once the bound port is known (the default self identity),
-  /// disconnected from the memo's hooks and stopped in wait() after the
+  /// The peer exchange (nullptr when no peers were configured).  Created
+  /// in start() once the bound port is known (the default self identity),
+  /// disconnected from the memo and stopped in wait() after the
   /// connection threads joined, BEFORE the pool drains.
   std::unique_ptr<MemoExchange> exchange;
 
@@ -536,9 +536,17 @@ struct Server::Impl {
     std::string reply;
     bool timeout_reply = false;
     bool error_reply = false;
+    // A shared_future declared outside the try holds the shared state
+    // past the catch handler (a plain future::get releases it before the
+    // rethrow): an exception the worker set stays owned by the state
+    // until the handler has read it, and whichever thread drops the
+    // state last is ordered after that read by the state's reference
+    // count.  The exception's own count lives in libsupc++, which
+    // ThreadSanitizer does not instrument, so it cannot order the read.
+    std::shared_future<PoolResult> future;
     try {
-      auto future = pool.submit(std::move(body), request);
-      const PoolResult result = future.get();
+      future = pool.submit(std::move(body), request).share();
+      const PoolResult& result = future.get();
       fold_result_stats(result);
       timeout_reply = result.deadline_expired;
       std::ostringstream os;
@@ -608,9 +616,9 @@ struct Server::Impl {
   }
 
   /// MEMO_PULL: body is fingerprint preamble + one canonical key; the
-  /// reply is "OK entry\n" + the export-policy record, or MISS.  Answers
+  /// reply is "OK entry\n" + the entry's record, or MISS.  Answers
   /// from the LOCAL memo only (export_entry, never lookup) — a miss here
-  /// must not fault to OUR peers, or two servers could pull each other
+  /// must not pull from OUR peers, or two servers could pull each other
   /// in a cycle.
   void handle_memo_pull(int fd, const std::string& body) {
     std::istringstream in(body);
@@ -636,9 +644,8 @@ struct Server::Impl {
     }
   }
 
-  /// MEMO_PUSH: body is fingerprint preamble + one export-policy record;
-  /// install it (the codec already rejects any shape outside the export
-  /// policy, so a partial/tainted record cannot enter here either).
+  /// MEMO_PUSH: body is fingerprint preamble + one record; install it
+  /// (the codec rejects any mark shape other than `root` and `natural`).
   void handle_memo_push(int fd, const std::string& body) {
     std::istringstream in(body);
     if (!check_exchange_preamble(fd, in)) {
@@ -786,9 +793,9 @@ void Server::start() {
       throw;
     }
   }
-  // Tier-2 hookup, after binding (the default self identity needs the
-  // resolved port) and before any traffic: root misses fault through the
-  // exchange, fresh completions feed its push queue.
+  // Peer hookup, after binding (the default self identity needs the
+  // resolved port) and before any traffic: root misses pull through the
+  // exchange, fresh inserts feed its push queue.
   if (!im.opts.memo_peers.empty() && im.pool.memo() != nullptr) {
     PeerExchangeOptions px;
     px.self = im.opts.memo_self.empty()
@@ -798,11 +805,7 @@ void Server::start() {
     px.pull_timeout_ms = im.opts.memo_pull_timeout_ms;
     im.exchange = std::make_unique<MemoExchange>(*im.pool.memo(), px);
     im.exchange->start();
-    im.pool.memo()->set_fault_tier(im.exchange.get());
-    im.pool.memo()->set_complete_listener(
-        [ex = im.exchange.get()](const GlobalMemoKey& key) {
-          ex->enqueue_push(key);
-        });
+    im.pool.memo()->set_peer(im.exchange.get());
   }
   im.started = true;
   im.started_at = std::chrono::steady_clock::now();
@@ -843,14 +846,14 @@ void Server::wait() {
     conn->thread.join();
   }
   // Exchange teardown between the connection drain and the pool drain:
-  // disconnect the memo's hooks first (no worker may fault into a
-  // stopped exchange), then join the push thread.  The pool's shutdown
-  // below — including the tier-1 snapshot flush — runs with tier 2
-  // fully quiesced, so the drain order is answer → stop gossip → flush.
+  // disconnect the memo's peer first (no new probe reaches the exchange;
+  // one racing the disconnect meets a stopped exchange and misses), then
+  // join the push thread.  The pool's shutdown below — including the
+  // snapshot flush — runs with the exchange fully quiesced, so the drain
+  // order is answer → stop gossip → flush.
   if (im.exchange != nullptr) {
     if (const auto& memo = im.pool.memo()) {
-      memo->set_fault_tier(nullptr);
-      memo->set_complete_listener(nullptr);
+      memo->set_peer(nullptr);
     }
     im.exchange->stop();
   }

@@ -122,7 +122,7 @@ struct ServerOptions {
   /// p50/p99 estimate).  Must be > 0.
   std::size_t latency_ring = 1024;
 
-  /// Tier-2 peer exchange (memo_exchange.hpp): "host:port" of every
+  /// Peer exchange (memo_exchange.hpp): "host:port" of every
   /// OTHER member of the memo ring.  Empty = exchange off.  Requires a
   /// pool memo; the server also answers the `MEMO_PULL`/`MEMO_PUSH`
   /// wire verbs whenever it has one, peers configured or not.
@@ -161,7 +161,7 @@ struct ServerMetrics {
   std::uint64_t latency_p50_us = 0;
   std::uint64_t latency_p99_us = 0;
   double uptime_seconds = 0.0;
-  // Tiered-memo surface (zeros when the tier is not configured).
+  // Memo snapshot and peer surface (zeros when not configured).
   std::uint64_t snapshot_entries_loaded = 0;  ///< installed at start
   std::uint64_t snapshot_entries_saved = 0;   ///< nonzero after the drain
   std::uint64_t snapshot_age_seconds = 0;  ///< now − loaded `.saved_at`

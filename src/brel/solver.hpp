@@ -102,23 +102,15 @@ struct SolverOptions {
   /// Also detect complemented swaps (second-order nonskew nonequivalence).
   bool symmetry_second_order = true;
 
-  /// Memoizing subproblem dedup by canonical characteristic-BDD edge (see
-  /// subproblem_cache.hpp).  Unlike the symmetry cache this has no depth
-  /// limit and O(1) probes.  Within a single solve it acts as an invariant
-  /// guard (Property 5.4 makes in-tree duplicates impossible); its value
-  /// comes from sharing one cache across solves of overlapping relations,
+  /// A caller-provided memoizing subproblem dedup, keyed by canonical
+  /// characteristic-BDD edge (see subproblem_cache.hpp) and shared
+  /// across solve() calls.  Within one solve it can never hit (Property
+  /// 5.4 makes in-tree duplicates impossible); its value comes from
+  /// sharing one cache across serial solves of overlapping relations,
   /// where re-encountered subtrees are pruned and their memoized best
-  /// solutions offered instead of being re-explored.  Off by default.
-  bool use_subproblem_cache = false;
-
-  /// Maximum entries (pinned BDD handles) in the subproblem cache.
-  std::size_t subproblem_cache_capacity = static_cast<std::size_t>(-1);
-
-  /// A caller-provided cache shared across solve() calls (and solvers on
-  /// the same manager).  When set it is used regardless of
-  /// `use_subproblem_cache`; when null and the flag is on, each solve gets
-  /// a fresh private cache.  Must only be shared between relations living
-  /// in the same BddManager.
+  /// solutions offered instead of being re-explored.  Must only be
+  /// shared between relations living in the same BddManager; the
+  /// parallel engine rejects it.  Null (the default) disables it.
   std::shared_ptr<SubproblemCache> subproblem_cache;
 
   /// Cross-solve memo of whole answers, keyed by the canonical
@@ -228,6 +220,13 @@ struct SolverStats {
   /// when BREL_LOCK_STATS is compiled out.
   std::uint64_t lock_wait_ns = 0;
   double runtime_seconds = 0.0;
+
+  /// Fold another run's statistics into this one, as the parallel
+  /// coordinator (per worker) and the partitioned solve (per block) do:
+  /// every counter sums, the flags merge by OR, `workers` keeps the
+  /// larger value.  `runtime_seconds` is left alone — the folding caller
+  /// times its own run.
+  void accumulate(const SolverStats& other);
 };
 
 /// A compatible solution plus the run's statistics.  Runs with more than

@@ -94,7 +94,7 @@ struct SolverPool::Impl {
     }
     this->options.solver.global_memo = memo;
 
-    // Tier-1 restore, BEFORE any worker starts: a request served after
+    // Snapshot restore, BEFORE any worker starts: a request served after
     // construction already sees yesterday's entries.  A bad file is a
     // partial/empty load recorded in snapshot_info(), never a throw —
     // a service must come up cold rather than not at all.
@@ -194,17 +194,12 @@ struct SolverPool::Impl {
   }
 
   void worker_loop(std::size_t id) {
-    // The slot's persistent substrate: one manager and one subproblem
-    // cache, owned by this thread for the pool's whole lifetime.
+    // The slot's persistent substrate: one manager, owned by this thread
+    // for the pool's whole lifetime.
     BddManager mgr{0};
     mgr.bind_to_current_thread();
-    std::shared_ptr<SubproblemCache> slot_cache;
-    if (options.reuse_subproblem_cache) {
-      slot_cache = std::make_shared<SubproblemCache>(
-          options.solver.subproblem_cache_capacity);
-    }
     // Order memory (PoolOptions::incremental): slot-private and
-    // thread-confined like the cache above, but — holding only plain
+    // thread-confined like the manager, but — holding only plain
     // rank-form data — it SURVIVES the per-request variable-block
     // recycle, which is what lets a repeat request start at the order
     // the slot's previous same-signature solve sifted into.
@@ -290,16 +285,6 @@ struct SolverPool::Impl {
                   ? std::min(solve_options.timeout, budget)
                   : budget;
         }
-        if (slot_cache != nullptr) {
-          // The cache was emptied at the previous request's end (raw-edge
-          // keys must not survive a variable-block recycle); re-stamp it
-          // for this request's fingerprint.
-          slot_cache->rebind_or_clear(make_cache_fingerprint(
-              r, solve_options,
-              solve_options.cost ? solve_options.cost
-                                 : sum_of_bdd_sizes()));
-          solve_options.subproblem_cache = slot_cache;
-        }
         SolveResult solved = SearchEngine(r, solve_options).run();
         const MemoSpace space = make_memo_space(r);
         if (slot_registry.has_value()) {
@@ -331,15 +316,11 @@ struct SolverPool::Impl {
         job.promise.set_exception(std::current_exception());
       }
       // Slot recycling: the request's handles are dead past this point.
-      // Empty the slot cache (its entries pin edges) and reclaim the
-      // whole variable block, so num_vars stays bounded by the widest
-      // single request instead of growing with every request served.
-      // reset_variables only declines when something still pins a node —
-      // impossible here, but fall back to ordinary GC rather than assert
-      // on a hypothetical embedder extension.
-      if (slot_cache != nullptr) {
-        slot_cache->clear();
-      }
+      // Reclaim the whole variable block, so num_vars stays bounded by
+      // the widest single request instead of growing with every request
+      // served.  reset_variables only declines when something still pins
+      // a node — impossible here, but fall back to ordinary GC rather
+      // than assert on a hypothetical embedder extension.
       if (!mgr.reset_variables()) {
         mgr.garbage_collect_if_needed();
       }
@@ -398,7 +379,7 @@ struct SolverPool::Impl {
         t.join();
       }
     }
-    // Tier-1 flush, AFTER the workers joined: every drained request's
+    // Snapshot flush, AFTER the workers joined: every drained request's
     // completions are in the memo, and no publisher runs concurrently
     // with the export walk.
     if (memo != nullptr && !options.memo_save_path.empty()) {

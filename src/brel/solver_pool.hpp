@@ -10,35 +10,31 @@
 ///
 ///   ownership rules (see DESIGN.md §service layer)
 ///   -----------------------------------------------
-///   - each worker slot owns a persistent `BddManager` plus a persistent
-///     private `SubproblemCache`, reused across every request the slot
-///     serves; nothing of a slot is ever touched by another thread (the
-///     manager is bound to the worker thread for the pool's lifetime);
+///   - each worker slot owns a persistent `BddManager`, reused across
+///     every request the slot serves; nothing of a slot is ever touched
+///     by another thread (the manager is bound to the worker thread for
+///     the pool's lifetime);
 ///   - requests enter as *text* (the `.br`/`.bdd` relation formats) and
 ///     results leave as `PoolResult` — a manager-independent
 ///     `PortableSolution` (rank-mapped serialized BDDs) — so no handle
 ///     of a slot manager ever crosses the pool boundary;
-///   - the cross-request state is the shared `GlobalMemo`: keyed by the
-///     canonical serialized subproblem form, it lets any worker, in any
-///     manager, at any variable offset, reuse subtree results first
-///     explored by another worker (or by itself, requests ago).  Hits
-///     import the memoized solution via the transfer layer instead of
-///     re-exploring — a warm re-solve of an identical relation explores
-///     zero nodes.
+///   - the cross-request state is the shared `GlobalMemo`, a cache of
+///     whole answers keyed by the canonical serialized relation form: any
+///     worker, in any manager, at any variable offset, is served the
+///     answer another worker (or itself, requests ago) returned for the
+///     same relation.  A hit imports the memoized solution via the
+///     transfer layer instead of re-exploring — a warm re-solve of an
+///     identical relation explores zero nodes.
 ///
 /// Manager lifetime across solves: the request's handles die when the
 /// request finishes, and the slot then RECYCLES its whole variable block
-/// (BddManager::reset_variables): the slot cache is cleared first (its
-/// entries pin edges), every node is freed, and num_vars drops to zero —
-/// so each request parses into variables 0..width-1 and a slot's
-/// variable count stays bounded by the widest single request it ever
-/// served, however long the pool lives (PoolResult::manager_num_vars
+/// (BddManager::reset_variables): every node is freed and num_vars drops
+/// to zero — so each request parses into variables 0..width-1 and a
+/// slot's variable count stays bounded by the widest single request it
+/// ever served, however long the pool lives (PoolResult::manager_num_vars
 /// witnesses this; rank-table construction stays O(request width)).
-/// Because the slot `SubproblemCache` is emptied at every request
-/// boundary, a later request can never be pruned by a stale raw-edge
-/// key even though variable indices repeat; *cross*-request reuse flows
-/// exclusively through the GlobalMemo, whose entries are plain data and
-/// pin nothing.
+/// Cross-request reuse flows exclusively through the GlobalMemo, whose
+/// entries are plain data and pin nothing.
 ///
 /// The per-request engine configuration is fixed at pool construction
 /// (`PoolOptions::solver`) — one objective, one mode — which is exactly
@@ -46,15 +42,13 @@
 /// `num_workers` inside those options is ignored: each request runs the
 /// serial engine (cross-request throughput is the pool's parallelism).
 ///
-/// Concurrency note for shared-memo users: memo probes only surface
-/// COMPLETE entries — subtree results of a run that drained naturally
-/// (global_memo.hpp's completeness protocol), so an interrupted or
-/// in-flight solve can never serve partial results to another request.
-/// Two *concurrent* solves of overlapping relations may still differ by
-/// schedule (whether an overlapping subtree completed in time to be
-/// reused); disable the memo (`share_memo = false`, no caller memo)
-/// when bit-reproducible results are required while submitting
-/// overlapping relations concurrently.
+/// Concurrency note for shared-memo users: the memo only ever holds the
+/// returned answer of a solve that drained (no budget or timeout stop),
+/// so an interrupted or in-flight solve can never serve a partial result
+/// to another request.  Two *concurrent* solves of the same relation
+/// both miss and both publish; the memo keeps the better answer (cost
+/// ties broken canonically), so under a fixed configuration either one
+/// reproduces what a cold solve returns.
 
 #include <chrono>
 #include <cstddef>
@@ -98,11 +92,6 @@ struct PoolOptions {
   /// construction).
   std::size_t memo_shards = 0;
 
-  /// Keep a persistent per-slot SubproblemCache, recycled across
-  /// requests with rebind_or_clear (an in-run invariant guard; see the
-  /// file comment for why cross-request hits cannot occur).
-  bool reuse_subproblem_cache = true;
-
   /// Totalize partial request relations (allow every output on inputs
   /// with an empty image) instead of failing them with
   /// std::invalid_argument.  Note the memo key is the *totalized*
@@ -122,21 +111,21 @@ struct PoolOptions {
   /// overrides this setting (resolve_incremental).
   bool incremental = false;
 
-  /// Tier-1 persistence (memo_snapshot.hpp): restore this snapshot into
+  /// Persistence (memo_snapshot.hpp): restore this snapshot into
   /// the pool memo at construction (empty = cold start; a missing or
   /// partially corrupt file degrades to a partial/empty load, never a
   /// construction failure — see snapshot_info()).  Ignored without a
   /// pool memo.
   std::string memo_load_path;
 
-  /// Write every export-eligible memo entry to this path when
+  /// Write every memo entry to this path when
   /// shutdown() completes its drain (empty = no save).  The save runs
   /// AFTER the workers joined, so the snapshot contains every entry the
   /// drained requests completed.  Ignored without a pool memo.
   std::string memo_save_path;
 };
 
-/// Lifecycle facts of the pool's tier-1 snapshot integration: the load
+/// Lifecycle facts of the pool's snapshot integration: the load
 /// attempted at construction and the save attempted at shutdown.  All
 /// zeros when no paths were configured (snapshot_info()).
 struct MemoSnapshotInfo {
@@ -246,7 +235,7 @@ class SolverPool {
   [[nodiscard]] const std::shared_ptr<GlobalMemo>& memo() const noexcept;
   /// Requests fully served (successfully or exceptionally) so far.
   [[nodiscard]] std::uint64_t requests_served() const;
-  /// Tier-1 snapshot lifecycle facts: what the construction-time load
+  /// Snapshot lifecycle facts: what the construction-time load
   /// installed and (after shutdown) what the drain-time save wrote.
   [[nodiscard]] MemoSnapshotInfo snapshot_info() const;
   /// Requests accepted but not yet picked up by a slot — the mailbox

@@ -19,8 +19,9 @@
 /// images, so any two nodes of one tree differ at the vertex of their
 /// lowest common ancestor's split.  Within one run the cache is therefore
 /// a pure invariant guard: a hit means the engine generated the same
-/// subrelation twice, i.e. a bug.  Its value materializes when one cache
-/// is SHARED across solve() calls (SolverOptions::subproblem_cache):
+/// subrelation twice, i.e. a bug.  Its value materializes only when one
+/// cache is SHARED across solve() calls (SolverOptions::subproblem_cache,
+/// the one way to arm it):
 /// re-solving the same or an overlapping relation re-generates identical
 /// subrelations, which are pruned instead of re-consuming budget.
 ///
@@ -52,8 +53,8 @@
 /// memo that minimized a different objective (or a solution over
 /// different variables) to the incumbent would be wrong pruning, not a
 /// cache miss.  Long-lived owners that intentionally recycle a cache
-/// across configurations (the solver pool's per-worker caches) call
-/// rebind_or_clear() instead, which drops the stale entries on mismatch.
+/// across configurations call rebind_or_clear() instead, which drops the
+/// stale entries on mismatch.
 ///
 /// Concurrency: the cache's own bookkeeping (map, keep-alive pins,
 /// hit/probe counters) is serialized by an internal mutex, and probes
@@ -66,9 +67,8 @@
 /// therefore only sound when access to its manager is itself serialized
 /// — e.g. handing a manager+cache pair across a pipeline stage with
 /// BddManager::bind_to_current_thread at the boundary.  The parallel
-/// engine never shares one: each worker pairs a private cache with its
-/// private manager, because edges do not transfer between managers (see
-/// parallel_engine.hpp, whose constructor rejects a shared cache).
+/// engine takes no cache at all: edges do not transfer between its
+/// workers' managers (parallel_engine.hpp's constructor rejects one).
 
 #include <cstdint>
 #include <mutex>

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -289,6 +290,45 @@ TEST(BddReorderTest, SolverModesReturnCompatibleSolutions) {
     EXPECT_TRUE(r.is_compatible(result.function))
         << "mode " << static_cast<int>(mode);
     mgr.check_integrity();
+  }
+}
+
+TEST(BddReorderTest, EveryEngineReportsItsSwaps) {
+  // Serial, parallel and partitioned solves all report the adjacent-level
+  // swaps their sifting made: a run that sifted swapped something, and a
+  // parallel run's total is the sum over its workers.  BREL_REORDER may
+  // override the mode (auto need not sift at this size), so the checks
+  // are conditional on a sift having run.
+  const RelationBenchmark& bench = relation_suite()[2];
+  for (const std::size_t workers : {1u, 2u}) {
+    for (const std::size_t partition : {0u, 2u}) {
+      BddManager mgr{0};
+      std::vector<std::uint32_t> inputs;
+      std::vector<std::uint32_t> outputs;
+      const BooleanRelation r =
+          make_benchmark_relation(mgr, bench, inputs, outputs);
+      SolverOptions options;
+      options.reorder = ReorderMode::On;
+      options.num_workers = workers;
+      options.partition_inputs = partition;
+      options.max_relations = static_cast<std::size_t>(-1);
+      options.max_depth = 4;
+      options.use_cost_bound = false;
+      const SolveResult result = BrelSolver(options).solve(r);
+      const std::string label = "workers=" + std::to_string(workers) +
+                                " partition=" + std::to_string(partition);
+      EXPECT_TRUE(r.is_compatible(result.function)) << label;
+      if (result.stats.reorders > 0) {
+        EXPECT_GT(result.stats.reorder_swaps, 0u) << label;
+      }
+      if (!result.worker_stats.empty()) {
+        std::size_t swaps = 0;
+        for (const SolverStats& w : result.worker_stats) {
+          swaps += w.reorder_swaps;
+        }
+        EXPECT_EQ(result.stats.reorder_swaps, swaps) << label;
+      }
+    }
   }
 }
 

@@ -1,7 +1,5 @@
 // Differential tests for the incremental re-solve paths:
 //
-//   - the depth-indexed memo completeness rules (global_memo.hpp) that
-//     the snapshot and peer tiers still rely on;
 //   - randomized minterm-flip differentials: for every benchmark
 //     instance, flipping k in {1, 4, 32} minterms and re-solving through
 //     a memo and DeltaRegistry warmed by the unedited base must be
@@ -22,7 +20,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -90,66 +87,6 @@ SolverStats expect_warm_equals_cold(const BooleanRelation& base,
   EXPECT_LE(warm.stats.relations_explored, cold.stats.relations_explored)
       << label;
   return warm.stats;
-}
-
-TEST(IncrementalTest, DepthIndexedCompletenessRules) {
-  // The memo-side contract under everything else in this file: a
-  // truncated entry serves ONLY probers with the same remaining budget,
-  // a natural entry serves everyone at or above its depth, upgrades
-  // widen and never narrow.
-  BddManager mgr{0};
-  const RelationSpace space = make_space(mgr, 2, 2);
-  const BooleanRelation r = fig1_relation(mgr, space);
-  const MemoSpace memo_space = make_memo_space(r);
-  const auto key = std::make_shared<const GlobalMemoKey>(
-      make_memo_key(memo_space, r.characteristic()));
-  const MultiFunction f = quick_solve(r);
-  const PortableSolution solution =
-      make_portable_solution(memo_space, f, 42.0);
-
-  GlobalMemo memo;
-  memo.bind(MemoFingerprint{sum_of_bdd_sizes().id(), false});
-  const MemoRunStamp stamp = memo.begin_run();
-  memo.publish(*key, solution, stamp.run_id);
-
-  // Unmarked: invisible at every depth.
-  EXPECT_FALSE(memo.lookup_at(*key, 0).has_value());
-  EXPECT_FALSE(memo.lookup_at(*key, 3).has_value());
-
-  // Truncated at depth 2: serves depth 2 exactly, nothing else.
-  {
-    const MemoMark marks[] = {MemoMark{key, 2, true}};
-    memo.mark_complete(std::span<const MemoMark>(marks), stamp);
-  }
-  ASSERT_TRUE(memo.lookup_at(*key, 2).has_value());
-  EXPECT_TRUE(memo.lookup_at(*key, 2)->depth_truncated);
-  EXPECT_EQ(memo.lookup_at(*key, 2)->solution, solution);
-  EXPECT_FALSE(memo.lookup_at(*key, 1).has_value());
-  EXPECT_FALSE(memo.lookup_at(*key, 3).has_value());
-
-  // Natural at depth 2 replaces the truncated claim: depths 0..2 serve
-  // (shallower probers have MORE remaining budget below a fixed cap),
-  // depth 3 still does not.
-  {
-    const MemoMark marks[] = {MemoMark{key, 2, false}};
-    memo.mark_complete(std::span<const MemoMark>(marks), stamp);
-  }
-  ASSERT_TRUE(memo.lookup_at(*key, 1).has_value());
-  EXPECT_FALSE(memo.lookup_at(*key, 1)->depth_truncated);
-  EXPECT_FALSE(memo.lookup_at(*key, 3).has_value());
-
-  // A deeper natural mark widens; a later truncated mark never narrows.
-  {
-    const MemoMark marks[] = {MemoMark{key, GlobalMemo::kAnyDepth, false}};
-    memo.mark_complete(std::span<const MemoMark>(marks), stamp);
-  }
-  EXPECT_TRUE(memo.lookup_at(*key, 3).has_value());
-  {
-    const MemoMark marks[] = {MemoMark{key, 1, true}};
-    memo.mark_complete(std::span<const MemoMark>(marks), stamp);
-  }
-  EXPECT_TRUE(memo.lookup_at(*key, 3).has_value());
-  EXPECT_FALSE(memo.lookup_at(*key, 3)->depth_truncated);
 }
 
 TEST(IncrementalTest, FlipDifferentialsAreBitIdenticalSerial) {

@@ -112,14 +112,14 @@ TEST(MemoKeyHashTest, PureMissNeverMaterializes) {
   const auto ms = std::make_shared<const MemoSpace>(make_memo_space(r));
 
   GlobalMemo memo;
-  const MemoRunStamp run = memo.begin_run();
 
   const MemoKeyBuildStats before = memo_key_build_stats();
   std::vector<MemoKeyHandle> handles;
   for (int i = 0; i < 8; ++i) {
-    // Distinct probes of an empty memo: every one is a hash-only miss.
+    // Distinct probes of an empty memo, each probed twice: every one is
+    // a hash-only miss.
     handles.push_back(make_memo_handle(ms, r.characteristic()));
-    EXPECT_FALSE(memo.lookup_at(handles.back(), 0).has_value());
+    EXPECT_FALSE(memo.lookup(handles.back()).has_value());
     EXPECT_FALSE(memo.lookup(handles.back()).has_value());
   }
   const MemoKeyBuildStats after = memo_key_build_stats();
@@ -132,7 +132,7 @@ TEST(MemoKeyHashTest, PureMissNeverMaterializes) {
   EXPECT_EQ(memo.hits(), 0u);
 
   // The first publish is the sanctioned materialization point.
-  memo.publish(handles.front(), solution_with_cost(1.0), run.run_id);
+  memo.publish(handles.front(), solution_with_cost(1.0));
   EXPECT_TRUE(handles.front()->materialized());
   EXPECT_EQ(memo_key_build_stats().builds, before.builds + 1);
 }
@@ -157,10 +157,7 @@ TEST(MemoKeyCollisionTest, VerificationDisambiguatesForcedCollision) {
       std::make_shared<LazyMemoKey>(memo_key_hash128(key_a), key_b);
 
   GlobalMemo memo;
-  const MemoRunStamp run = memo.begin_run();
-  memo.publish(handle_a, solution_with_cost(1.0), run.run_id);
-  const auto shared_a = handle_a->shared_key();
-  memo.mark_complete({&shared_a, 1});
+  memo.publish(handle_a, solution_with_cost(1.0));
   ASSERT_TRUE(memo.lookup(handle_a).has_value());
   EXPECT_EQ(memo.collisions(), 0u);
 
@@ -172,7 +169,7 @@ TEST(MemoKeyCollisionTest, VerificationDisambiguatesForcedCollision) {
 
   // A colliding publish is dropped (first key wins) and the resident
   // entry keeps serving its own key.
-  memo.publish(liar_b, solution_with_cost(0.5), run.run_id);
+  memo.publish(liar_b, solution_with_cost(0.5));
   EXPECT_GE(memo.collisions(), 2u);
   EXPECT_EQ(memo.size(), 1u);
   const auto served = memo.lookup(handle_a);

@@ -1,7 +1,7 @@
 // Tests for GlobalMemo's sharded concurrency layer (global_memo.hpp).
 //
 // test_solver_pool.cpp covers the memo's *semantics* — canonical keys,
-// the completeness protocol, LRU improvement rules.  This file covers
+// the root-answer contract, LRU improvement rules.  This file covers
 // the SHARDING that was layered under those semantics:
 //   - the auto shard policy (unlimited memo → kDefaultShards, finite
 //     capacity → one shard for exact global LRU, explicit counts
@@ -9,10 +9,8 @@
 //   - keys distribute across shards and shard_of is a stable total
 //     function onto [0, shard_count);
 //   - the capacity bound is enforced PER SHARD (ceil split);
-//   - the run-stamp vouching of mark_complete holds inside one shard of
-//     a multi-shard memo (eviction hole re-filled by a foreign run);
-//   - concurrent publish / lookup / mark_complete across shards is safe
-//     and loses nothing (this file is part of the TSan CI job);
+//   - concurrent publish / lookup across shards is safe and loses
+//     nothing (this file is part of the TSan CI job);
 //   - the per-shard relaxed statistic atomics fold to EXACT totals.
 //
 // Keys here are synthetic (distinct rank vectors, empty characteristic):
@@ -65,14 +63,13 @@ TEST(MemoShardTest, AutoPolicyAndExplicitCounts) {
 TEST(MemoShardTest, KeysDistributeAcrossShards) {
   GlobalMemo memo{static_cast<std::size_t>(-1), 8};
   ASSERT_EQ(memo.shard_count(), 8u);
-  const MemoRunStamp run = memo.begin_run();
   for (std::uint32_t i = 0; i < 64; ++i) {
     const GlobalMemoKey key = synthetic_key(i);
     // shard_of is a stable total function onto [0, shard_count).
     const std::size_t shard = memo.shard_of(key);
     EXPECT_LT(shard, memo.shard_count());
     EXPECT_EQ(shard, memo.shard_of(key));
-    memo.publish(key, solution_with_cost(1.0), run.run_id);
+    memo.publish(key, solution_with_cost(1.0));
   }
   EXPECT_EQ(memo.size(), 64u);
   std::size_t populated = 0;
@@ -105,41 +102,10 @@ TEST(MemoShardTest, CapacityIsEnforcedPerShard) {
   EXPECT_EQ(memo.evictions(), memo.publishes() - memo.size());
 }
 
-TEST(MemoShardTest, RunStampVouchingHoldsInsideOneShardOfMany) {
-  // The foreign-entry hazard of the completeness protocol, replayed
-  // inside a single shard of a multi-shard memo: per-shard capacity 1,
-  // two keys forced into the same shard, an eviction hole re-filled by
-  // a concurrent run's partial publish.
-  GlobalMemo memo{4, 4};  // 4 shards, ONE entry each
-  ASSERT_EQ(memo.shard_capacity(), 1u);
-  // Find two distinct keys hashing to the same shard.
-  const GlobalMemoKey key_k = synthetic_key(0);
-  GlobalMemoKey key_j = synthetic_key(1);
-  for (std::uint32_t i = 2; memo.shard_of(key_j) != memo.shard_of(key_k);
-       ++i) {
-    key_j = synthetic_key(i);
-  }
-  const auto shared_k = std::make_shared<const GlobalMemoKey>(key_k);
-
-  const MemoRunStamp run_a = memo.begin_run();
-  memo.publish(key_k, solution_with_cost(5.0), run_a.run_id);
-  const MemoRunStamp run_b = memo.begin_run();
-  memo.publish(key_j, solution_with_cost(7.0), run_b.run_id);  // evicts k
-  memo.publish(key_k, solution_with_cost(9.0), run_b.run_id);  // re-creates k
-  // A drains and marks — but B's re-created entry is not A's to vouch
-  // for: it must stay invisible.
-  memo.mark_complete({&shared_k, 1}, run_a);
-  EXPECT_FALSE(memo.lookup(key_k).has_value());
-  // B itself can vouch for it.
-  memo.mark_complete({&shared_k, 1}, run_b);
-  ASSERT_TRUE(memo.lookup(key_k).has_value());
-  EXPECT_EQ(memo.lookup(key_k)->cost, 9.0);
-}
-
-TEST(MemoShardTest, ConcurrentPublishLookupMarkCompleteAcrossShards) {
-  // Each thread runs the full producing-run protocol over its own key
-  // range while every thread probes the whole key space — publishes,
-  // lookups and completeness marks race across all shards.  TSan-run.
+TEST(MemoShardTest, ConcurrentPublishLookupAcrossShards) {
+  // Each thread publishes its own key range while every thread probes
+  // the whole key space — publishes and lookups race across all
+  // shards.  TSan-run.
   constexpr std::uint32_t kThreads = 8;
   constexpr std::uint32_t kKeysPerThread = 32;
   GlobalMemo memo;  // unlimited, kDefaultShards
@@ -147,14 +113,9 @@ TEST(MemoShardTest, ConcurrentPublishLookupMarkCompleteAcrossShards) {
   threads.reserve(kThreads);
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&memo, t] {
-      const MemoRunStamp run = memo.begin_run();
-      std::vector<std::shared_ptr<const GlobalMemoKey>> mine;
-      mine.reserve(kKeysPerThread);
       for (std::uint32_t i = 0; i < kKeysPerThread; ++i) {
         const std::uint32_t id = t * kKeysPerThread + i;
-        mine.push_back(std::make_shared<const GlobalMemoKey>(
-            synthetic_key(id)));
-        memo.publish(*mine.back(), solution_with_cost(id), run.run_id);
+        memo.publish(synthetic_key(id), solution_with_cost(id));
         // Concurrent probes over the whole space: foreign keys may or
         // may not be visible yet; visible ones must be well-formed.
         const auto seen =
@@ -164,7 +125,6 @@ TEST(MemoShardTest, ConcurrentPublishLookupMarkCompleteAcrossShards) {
           EXPECT_TRUE(seen->has_solution());
         }
       }
-      memo.mark_complete(mine, run);
     });
   }
   for (std::thread& t : threads) {
@@ -188,10 +148,7 @@ TEST(MemoShardTest, StatisticsFoldExactlyUnderHammering) {
   constexpr std::uint32_t kLookups = 1000;
   GlobalMemo memo;
   const GlobalMemoKey key = synthetic_key(42);
-  const auto shared = std::make_shared<const GlobalMemoKey>(key);
-  const MemoRunStamp run = memo.begin_run();
-  memo.publish(key, solution_with_cost(1.0), run.run_id);
-  memo.mark_complete({&shared, 1}, run);
+  memo.publish(key, solution_with_cost(1.0));
   std::vector<std::thread> threads;
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&memo, &key] {

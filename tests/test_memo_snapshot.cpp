@@ -1,18 +1,14 @@
-// Tests for the tier-1 memo persistence layer (memo_snapshot.hpp): the
-// entry codec the snapshot format and the MEMO_PULL/MEMO_PUSH wire verbs
-// share, the export policy that decides what may cross a tier boundary,
-// the loader's resilience against malformed files, and the pool-level
-// save-at-drain / load-at-start lifecycle.
+// Tests for the memo persistence layer (memo_snapshot.hpp): the entry
+// codec the snapshot format and the MEMO_PULL/MEMO_PUSH wire verbs
+// share, the loader's resilience against malformed files, and the
+// pool-level save-at-drain / load-at-start lifecycle.
 //
 // The load-bearing properties:
-//   - the codec round-trips both export-policy shapes (natural at any
-//     depth, root-exact) bit-identically, and REJECTS every other shape
-//     — a depth-truncated interior entry cannot be smuggled across the
-//     persistence boundary even by a hand-edited file;
-//   - unmarked (partial/tainted) and interior-truncated entries never
-//     serialize at all: the export walk skips them;
-//   - a restored entry answers probes with its ORIGINAL mark — the same
-//     depth-validity window as the memo that was saved;
+//   - the codec round-trips both record shapes (natural at any depth,
+//     root-exact) bit-identically, and REJECTS every other shape, even
+//     in a hand-edited file;
+//   - a restored entry serves a root probe and exports with its ORIGINAL
+//     mark, so a memo saved again writes what it loaded;
 //   - the loader never throws and never half-installs: corrupt entries
 //     are skipped individually, truncation keeps the parsed prefix,
 //     version or fingerprint skew installs nothing;
@@ -79,8 +75,9 @@ std::string replace_once(std::string text, const std::string& from,
   return text;
 }
 
-/// A two-entry memo: fig1 naturally complete at `natural_depth`, fig10 as
-/// a root-exact record — one of each export-policy shape.
+/// A two-entry memo: fig1 installed as a natural record at
+/// `natural_depth`, fig10 published by a run (a root record) — one of
+/// each record shape.
 struct TwoEntryMemo {
   GlobalMemo memo;
   Canonical natural;
@@ -93,14 +90,11 @@ std::unique_ptr<TwoEntryMemo> make_two_entry_memo(
   out->natural = solve_canonical(fig1_relation);
   out->root = solve_canonical(fig10_relation);
   out->memo.bind(kTestFp);
-  out->memo.publish(out->natural.key, out->natural.solution);
+  (void)out->memo.install(
+      MemoExportEntry{out->natural.key, out->natural.solution, natural_depth,
+                      /*root_exact=*/false},
+      MemoOrigin::kRun);
   out->memo.publish(out->root.key, out->root.solution);
-  const std::vector<MemoMark> marks{
-      {std::make_shared<const GlobalMemoKey>(out->natural.key), natural_depth,
-       /*truncated=*/false},
-      {std::make_shared<const GlobalMemoKey>(out->root.key), 0,
-       /*truncated=*/true}};
-  out->memo.mark_complete(marks);
   return out;
 }
 
@@ -173,50 +167,9 @@ TEST(MemoEntryCodecTest, RejectsChecksumMismatch) {
   EXPECT_THROW((void)read_memo_entry(in), std::invalid_argument);
 }
 
-TEST(MemoExportPolicyTest, PartialAndInteriorTruncatedNeverSerialize) {
-  // The regression the persistence design hinges on: an entry that could
-  // not serve a fresh root prober in memory must not exist on disk
-  // either.  Unmarked (the hard-taint case — publishes exist, no
-  // completeness) and interior depth-truncated entries both stay out of
-  // the export walk; the root-exact and natural entries both cross.
-  const Canonical a = solve_canonical(fig1_relation);
-  const Canonical b = solve_canonical(fig10_relation);
-  const Canonical c = solve_canonical(fig8_relation);
-
-  GlobalMemo memo;
-  memo.bind(kTestFp);
-  memo.publish(a.key, a.solution);  // never marked: partial/tainted
-  memo.publish(b.key, b.solution);  // interior truncated (depth 3)
-  memo.publish(c.key, c.solution);  // root-exact (truncated at depth 0)
-  const std::vector<MemoMark> marks{
-      {std::make_shared<const GlobalMemoKey>(b.key), 3, /*truncated=*/true},
-      {std::make_shared<const GlobalMemoKey>(c.key), 0, /*truncated=*/true}};
-  memo.mark_complete(marks);
-
-  std::vector<MemoExportEntry> exported;
-  memo.export_complete(
-      [&](const MemoExportEntry& e) { exported.push_back(e); });
-  ASSERT_EQ(exported.size(), 1u);
-  EXPECT_EQ(exported[0].key, c.key);
-  EXPECT_TRUE(exported[0].root_exact);
-  EXPECT_FALSE(memo.export_entry(a.key).has_value());
-  EXPECT_FALSE(memo.export_entry(b.key).has_value());
-  EXPECT_TRUE(memo.export_entry(c.key).has_value());
-
-  // And the snapshot of this memo contains exactly the one eligible
-  // entry — the file format never even sees the other two.
-  GlobalMemo fresh;
-  fresh.bind(kTestFp);
-  const SnapshotLoadResult loaded = load_text(fresh, snapshot_text(memo));
-  EXPECT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.entries_installed, 1u);
-  EXPECT_EQ(fresh.size(), 1u);
-}
-
 TEST(MemoSnapshotTest, RoundTripPreservesOriginalMarks) {
-  // A restored memo must answer probes with the same depth-validity
-  // window as the memo that was saved: natural-at-2 serves depths <= 2,
-  // root-exact serves exactly depth 0 (as a truncated hit).
+  // Both record shapes serve a root probe, and a restored memo keeps
+  // each record's mark as it was saved: natural-at-2 and root-exact.
   const auto setup = make_two_entry_memo(/*natural_depth=*/2);
   GlobalMemo restored;
   restored.bind(kTestFp);
@@ -228,19 +181,17 @@ TEST(MemoSnapshotTest, RoundTripPreservesOriginalMarks) {
   EXPECT_EQ(loaded.saved_at, 12345u);
 
   for (GlobalMemo* memo : {&setup->memo, &restored}) {
-    for (std::uint64_t depth : {0u, 1u, 2u}) {
-      const auto hit = memo->lookup_at(setup->natural.key, depth);
-      ASSERT_TRUE(hit.has_value()) << "depth " << depth;
-      EXPECT_FALSE(hit->depth_truncated);
-      EXPECT_EQ(hit->solution, setup->natural.solution);
-    }
-    EXPECT_FALSE(memo->lookup_at(setup->natural.key, 3).has_value());
+    EXPECT_EQ(memo->lookup(setup->natural.key), setup->natural.solution);
+    EXPECT_EQ(memo->lookup(setup->root.key), setup->root.solution);
 
-    const auto root_hit = memo->lookup_at(setup->root.key, 0);
-    ASSERT_TRUE(root_hit.has_value());
-    EXPECT_TRUE(root_hit->depth_truncated);
-    EXPECT_EQ(root_hit->solution, setup->root.solution);
-    EXPECT_FALSE(memo->lookup_at(setup->root.key, 1).has_value());
+    const auto natural = memo->export_entry(setup->natural.key);
+    ASSERT_TRUE(natural.has_value());
+    EXPECT_FALSE(natural->root_exact);
+    EXPECT_EQ(natural->complete_depth, 2u);
+    const auto root = memo->export_entry(setup->root.key);
+    ASSERT_TRUE(root.has_value());
+    EXPECT_TRUE(root->root_exact);
+    EXPECT_EQ(root->complete_depth, 0u);
   }
 }
 

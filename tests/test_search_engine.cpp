@@ -346,7 +346,7 @@ TEST(SubproblemCacheTest, InTreeDuplicatesAreImpossible) {
       SolverOptions options;
       options.order = order;
       options.max_relations = 30;
-      options.use_subproblem_cache = true;
+      options.subproblem_cache = std::make_shared<SubproblemCache>();
       const SolveResult result = BrelSolver(options).solve(r);
       EXPECT_EQ(result.stats.pruned_by_cache, 0u)
           << bench.name << ": in-tree duplicate — Property 5.4 violated";
@@ -355,7 +355,7 @@ TEST(SubproblemCacheTest, InTreeDuplicatesAreImpossible) {
 }
 
 TEST(SubproblemCacheTest, PrivateCacheLeavesResultsUntouched) {
-  // With a fresh per-solve cache nothing can hit, so enabling the flag
+  // With a fresh cache nothing can hit within one solve, so arming one
   // must not change any outcome.
   BddManager mgr{0};
   RelationSpace space = make_space(mgr, 2, 2);
@@ -365,7 +365,7 @@ TEST(SubproblemCacheTest, PrivateCacheLeavesResultsUntouched) {
     SolverOptions plain;
     plain.max_relations = 40;
     SolverOptions cached = plain;
-    cached.use_subproblem_cache = true;
+    cached.subproblem_cache = std::make_shared<SubproblemCache>();
     const SolveResult a = BrelSolver(plain).solve(r);
     const SolveResult b = BrelSolver(cached).solve(r);
     EXPECT_DOUBLE_EQ(a.cost, b.cost);

@@ -550,7 +550,7 @@ TEST(ServerMemoExchangeTest, PeeredServerPullsOwnedRootsAndGossipsBack) {
 
   // Two relations b does NOT own — their root misses must leave for a.
   std::string pulled_text;  // warmed on a first: b's miss pulls a hit
-  std::string gossip_text;  // solved cold on b: completion pushes to a
+  std::string gossip_text;  // solved cold on b: the insert pushes to a
   for (unsigned f = 0; f < 256 && gossip_text.empty(); ++f) {
     const std::string text = param_text(f);
     if (oracle.owns(key_of(text))) continue;
@@ -564,8 +564,8 @@ TEST(ServerMemoExchangeTest, PeeredServerPullsOwnedRootsAndGossipsBack) {
   ASSERT_TRUE(client_a.connected());
   ASSERT_TRUE(client_b.connected());
 
-  // Warm a, then solve the same relation on b: the root miss faults
-  // through b's exchange tier and comes back as a peer hit at zero
+  // Warm a, then solve the same relation on b: the root miss pulls
+  // through b's exchange and comes back as a peer hit at zero
   // exploration, bit-identical to a's answer.
   const std::string reply_a = client_a.request("SOLVE\n" + pulled_text);
   ASSERT_EQ(verb_of(reply_a), "OK");
@@ -578,7 +578,7 @@ TEST(ServerMemoExchangeTest, PeeredServerPullsOwnedRootsAndGossipsBack) {
   EXPECT_GE(stat_of(stats_b, "peer_pull_hits"), 1);
   EXPECT_GE(stat_of(stats_b, "memo_hits_peer"), 1);
 
-  // A cold solve on b of an a-owned key gossips the completion to its
+  // A cold solve on b of an a-owned key pushes the new entry to its
   // owner: a receives the push (async — poll briefly), after which a
   // serves the relation it never solved at zero exploration.
   const std::string cold_b = client_b.request("SOLVE\n" + gossip_text);
@@ -598,6 +598,77 @@ TEST(ServerMemoExchangeTest, PeeredServerPullsOwnedRootsAndGossipsBack) {
   ASSERT_EQ(verb_of(warm_a), "OK");
   EXPECT_EQ(explored_of(warm_a), 0);
   EXPECT_EQ(body_of(warm_a), body_of(cold_b));
+}
+
+TEST(ServerMemoExchangeTest, FirstPublishPushesAndImprovementDoesNot) {
+  // The peer hook server.cpp wires: a publish that INSERTS a key queues
+  // one push to the key's owner; a later improvement of that entry does
+  // not.  b adopts a caller memo (the pool keeps a provided memo), so the
+  // test can publish into it directly.
+  ServerOptions options_a = deterministic_server(1);
+  options_a.pool.share_memo = true;
+  Server a(options_a);
+  a.start();
+  const std::string addr_a = "127.0.0.1:" + std::to_string(a.port());
+
+  ServerOptions options_b = options_a;
+  options_b.memo_peers = {addr_a};
+  const auto memo_b = std::make_shared<GlobalMemo>();
+  options_b.pool.solver.global_memo = memo_b;
+  Server b(options_b);
+  b.start();
+  const std::string addr_b = "127.0.0.1:" + std::to_string(b.port());
+
+  GlobalMemo scratch;
+  PeerExchangeOptions ring;
+  ring.self = addr_b;
+  ring.peers = {addr_a};
+  MemoExchange oracle(scratch, ring);
+  std::vector<std::string> owned_by_a;
+  for (unsigned f = 0; f < 256 && owned_by_a.size() < 2; ++f) {
+    const std::string text = param_text(f);
+    if (!oracle.owns(key_of(text))) owned_by_a.push_back(text);
+  }
+  ASSERT_EQ(owned_by_a.size(), 2u);
+
+  // Reference answers from a memo-less engine (solving through b's
+  // options would publish into memo_b itself).
+  const PortableSolution best =
+      reference_solution(owned_by_a[0], options_a.pool.solver);
+  PortableSolution worse = best;
+  worse.cost += 10.0;
+  memo_b->publish(key_of(owned_by_a[0]), worse);  // insert: pushes
+  memo_b->publish(key_of(owned_by_a[0]), best);   // improvement: silent
+  ASSERT_EQ(memo_b->lookup(key_of(owned_by_a[0])), best);
+  memo_b->publish(key_of(owned_by_a[1]),
+                  reference_solution(owned_by_a[1], options_a.pool.solver));
+
+  // The second key is last in b's FIFO push queue: once a holds it,
+  // every earlier push has been delivered and the queue is empty.
+  Client client_a(a.port());
+  ASSERT_TRUE(client_a.connected());
+  std::ostringstream pull_last;
+  pull_last << "MEMO_PULL\n";
+  write_memo_fingerprint(pull_last,
+                         MemoFingerprint{sum_of_bdd_sizes().id(), false});
+  write_memo_key(pull_last, key_of(owned_by_a[1]));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (verb_of(client_a.request(pull_last.str())) != "OK" &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_EQ(verb_of(client_a.request(pull_last.str())), "OK");
+  // Draining b joins its push thread, so its counters are final.
+  b.begin_drain();
+  b.wait();
+  const ServerMetrics mb = b.metrics();
+  EXPECT_EQ(mb.peer_pushes, 2u);
+  EXPECT_EQ(mb.peer_push_failures, 0u);
+  EXPECT_EQ(mb.peer_push_dropped, 0u);
+  EXPECT_EQ(stat_of(body_of(client_a.request("STATS")),
+                    "peer_pushes_received"),
+            2);
 }
 
 }  // namespace

@@ -185,11 +185,7 @@ TEST(GlobalMemoTest, CapacityEvictsLruButImprovesPresentKeysInPlace) {
   memo.publish(*key_a, sol);
   EXPECT_EQ(memo.size(), 1u);
 
-  // Unmarked entries are invisible to probes (completeness protocol)...
-  EXPECT_FALSE(memo.lookup(*key_a).has_value());
-  // ...until the producing run drains and marks them.
-  const std::shared_ptr<const GlobalMemoKey> touched[] = {key_a, key_b};
-  memo.mark_complete(touched);  // key_b absent: skipped, not resurrected
+  // A published answer serves at once.
   ASSERT_TRUE(memo.lookup(*key_a).has_value());
   EXPECT_DOUBLE_EQ(memo.lookup(*key_a)->cost, 10.0);
 
@@ -212,51 +208,7 @@ TEST(GlobalMemoTest, CapacityEvictsLruButImprovesPresentKeysInPlace) {
   EXPECT_EQ(memo.size(), 1u);
   EXPECT_EQ(memo.evictions(), 1u);
   EXPECT_FALSE(memo.lookup(*key_a).has_value());  // evicted
-  // The newcomer is present (still incomplete, hence unservable).
-  memo.mark_complete({&key_b, 1});
   ASSERT_TRUE(memo.lookup(*key_b).has_value());
-}
-
-TEST(GlobalMemoTest, MarkCompleteRefusesForeignEntriesRecreatedAfterEviction) {
-  // The eviction hole the run stamps close: run A's entry for key K is
-  // evicted mid-run, a concurrent run B re-creates K holding only B's
-  // partial solution, then A drains and marks its touched keys.  A must
-  // NOT flip B's entry — that would serve B's degraded partial as a
-  // final result forever.
-  BddManager mgr{4};
-  const BooleanRelation rk = BooleanRelation::full(mgr, {0, 1}, {2, 3});
-  const BooleanRelation rj = BooleanRelation::full(mgr, {0, 1, 2}, {3});
-  const auto key_k = std::make_shared<const GlobalMemoKey>(
-      make_memo_key(make_memo_space(rk), rk.characteristic()));
-  const auto key_j = std::make_shared<const GlobalMemoKey>(
-      make_memo_key(make_memo_space(rj), rj.characteristic()));
-
-  GlobalMemo memo{1};
-  PortableSolution good;
-  good.outputs.push_back(SerializedBdd{});
-  good.cost = 1.0;
-  PortableSolution partial = good;
-  partial.cost = 9.0;
-
-  const MemoRunStamp run_a = memo.begin_run();
-  memo.publish(*key_k, good, run_a.run_id);   // A's subtree best
-  memo.publish(*key_j, good, 0);              // flood: evicts K
-  const MemoRunStamp run_b = memo.begin_run();
-  memo.publish(*key_k, partial, run_b.run_id);  // B re-creates K, evicting J
-
-  memo.mark_complete({&key_k, 1}, run_a);  // A drains: must not vouch
-  EXPECT_FALSE(memo.lookup(*key_k).has_value())
-      << "a foreign mid-run entry was stamped complete";
-
-  memo.mark_complete({&key_k, 1}, run_b);  // B drains: its own entry
-  ASSERT_TRUE(memo.lookup(*key_k).has_value());
-  EXPECT_DOUBLE_EQ(memo.lookup(*key_k)->cost, 9.0);
-
-  // Pre-existing entries (created before a run started) are always
-  // vouched for — the normal warm-service case.
-  const MemoRunStamp run_c = memo.begin_run();
-  memo.mark_complete({&key_k, 1}, run_c);  // still complete, no change
-  EXPECT_TRUE(memo.lookup(*key_k).has_value());
 }
 
 TEST(GlobalMemoTest, HotKeySurvivesColdKeyFlood) {
@@ -284,7 +236,6 @@ TEST(GlobalMemoTest, HotKeySurvivesColdKeyFlood) {
   sol.outputs.push_back(SerializedBdd{});
   sol.cost = 1.0;
   memo.publish(*hot, sol);
-  memo.mark_complete({&hot, 1});
   ASSERT_TRUE(memo.lookup(*hot).has_value());
 
   // Flood with ~4x capacity distinct cold keys (the 31 remaining minterm
@@ -303,14 +254,13 @@ TEST(GlobalMemoTest, HotKeySurvivesColdKeyFlood) {
 }
 
 TEST(GlobalMemoTest, TruncatedRunsDoNotPoisonTheMemo) {
-  // The service-layer hazard the completeness protocol exists for: a
-  // run stopped by its budget publishes only partial, degraded memos.
-  // Without the protocol those entries would serve every later
-  // identical request at zero exploration — the degraded result locked
-  // in forever, invisible to the caller (no budget_exhausted flag on
-  // the warm path).  With it, the truncated run's publishes stay
-  // invisible, the next solve re-explores, and only ITS naturally
-  // drained results become servable.
+  // The service-layer hazard publish-once exists for: a run stopped by
+  // its budget holds only a degraded result.  Served, it would answer
+  // every later identical request at zero exploration — the degraded
+  // result locked in forever, invisible to the caller (no
+  // budget_exhausted flag on the warm path).  The truncated run
+  // publishes nothing, the next solve re-explores, and only ITS drained
+  // result becomes servable.
   BddManager mgr{0};
   RelationSpace space = make_space(mgr, 2, 2);
   const BooleanRelation r = fig10_relation(mgr, space);

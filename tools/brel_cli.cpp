@@ -28,13 +28,6 @@
 //                                            stats line when sifting ran
 //     --no-bound                             disable the line-6 cost bound
 //     --symmetry                             enable the symmetry cache
-//     --seed-cache                           enable the subproblem cache,
-//                                            seeded with the root relation.
-//                                            One-shot runs never hit it
-//                                            (Property 5.4 — it acts as an
-//                                            invariant guard); embedders
-//                                            share it across solves via
-//                                            SolverOptions::subproblem_cache
 //     --totalize                             repair partial relations
 //     --solver=brel|quick|gyocro|herb        which solver to run
 //     --serve                                batch service mode: treat every
@@ -98,7 +91,6 @@ struct CliOptions {
   bool exact = false;
   brel::ExplorationOrder order = brel::ExplorationOrder::BreadthFirst;
   bool symmetry = false;
-  bool seed_cache = false;
   bool totalize = false;
   bool dump_table = false;
   bool quiet = false;
@@ -118,7 +110,7 @@ struct CliOptions {
                "                [--max-depth=N] [--exact] [--no-bound]\n"
                "                [--order=bfs|dfs|best] [--workers=N]\n"
                "                [--reorder=off|on|auto]\n"
-               "                [--symmetry] [--seed-cache] [--totalize]\n"
+               "                [--symmetry] [--totalize]\n"
                "                [--solver=brel|quick|gyocro|herb]\n"
                "                [--serve] [--no-memo] [--incremental]\n"
                "                [--memo-shards=N]\n"
@@ -191,8 +183,6 @@ CliOptions parse_args(int argc, char** argv) {
       options.reorder = reorder_by_name(v);
     } else if (arg == "--symmetry") {
       options.symmetry = true;
-    } else if (arg == "--seed-cache") {
-      options.seed_cache = true;
     } else if (arg == "--serve") {
       options.serve = true;
     } else if (arg == "--no-memo") {
@@ -336,7 +326,6 @@ brel::SolverOptions solver_options_from_cli(const CliOptions& cli) {
   options.num_workers = cli.workers;
   options.exact = cli.exact;
   options.use_symmetry = cli.symmetry;
-  options.use_subproblem_cache = cli.seed_cache;
   options.order = cli.order;
   options.reorder = cli.reorder;
   options.steal_batch = cli.steal_batch;
@@ -587,11 +576,10 @@ int main(int argc, char** argv) {
     std::printf("# cost(%s) = %.0f\n", cli.cost.c_str(), result.cost);
     std::printf(
         "# explored=%zu splits=%zu conflicts=%zu pruned(cost)=%zu "
-        "pruned(sym)=%zu pruned(cache)=%zu time=%.3fs%s\n",
+        "pruned(sym)=%zu time=%.3fs%s\n",
         result.stats.relations_explored, result.stats.splits,
         result.stats.conflicts, result.stats.pruned_by_cost,
-        result.stats.pruned_by_symmetry, result.stats.pruned_by_cache,
-        result.stats.runtime_seconds,
+        result.stats.pruned_by_symmetry, result.stats.runtime_seconds,
         result.stats.budget_exhausted ? " (budget exhausted)" : "");
     if (result.stats.workers > 1) {
       std::printf("# workers=%zu steals=%zu batches=%zu\n",
@@ -611,8 +599,8 @@ int main(int argc, char** argv) {
     }
     if (result.stats.reorders > 0) {
       // Serial runs sift the manager above; parallel runs sift their
-      // private worker managers, so the swap/node detail lives there and
-      // only the run count is meaningful here.
+      // private worker managers, so the node detail lives there and only
+      // the run and swap counts (summed over workers) are reported.
       const brel::BddStats& kernel = mgr.stats();
       if (kernel.reorders > 0) {
         std::printf("# reorder: runs=%zu swaps=%llu nodes %zu->%zu\n",
@@ -620,8 +608,8 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(kernel.reorder_swaps),
                     kernel.reorder_nodes_before, kernel.reorder_nodes_after);
       } else {
-        std::printf("# reorder: runs=%zu (in worker managers)\n",
-                    result.stats.reorders);
+        std::printf("# reorder: runs=%zu swaps=%zu (in worker managers)\n",
+                    result.stats.reorders, result.stats.reorder_swaps);
       }
     }
   }

@@ -30,9 +30,9 @@
 //     --incremental           per-slot variable-order memory across
 //                             requests (PoolOptions::incremental)
 //     --totalize              repair partial request relations
-//     --memo-load=PATH        restore a tier-1 memo snapshot at start
+//     --memo-load=PATH        restore a memo snapshot at start
 //     --memo-save=PATH        write a memo snapshot after the drain
-//     --memo-peers=H:P,...    tier-2 memo ring: the other members
+//     --memo-peers=H:P,...    memo peer ring: the other members
 //     --memo-self=H:P         this member's ring identity (default:
 //                             the bound host:port)
 //     --memo-pull-timeout-ms=N  MEMO_PULL round-trip deadline (250)
