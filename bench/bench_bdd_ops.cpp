@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <new>
 #include <random>
@@ -39,9 +40,10 @@
 // [memo-key-begin]
 // Process-wide allocation counter, fed by replacing the global
 // operator new (the array and sized-delete forms route through these
-// two by default).  The memo_key section uses DELTAS of this counter to
-// assert that a hash-only probe allocates nothing — an absolute count
-// would be meaningless in a process that also runs every other bench.
+// two by default).  The timed sections use DELTAS of this counter to
+// assert that a memo probe or a warm kernel call allocates nothing — an
+// absolute count would be meaningless in a process that also runs every
+// other bench.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
@@ -131,6 +133,70 @@ Result measure(const std::string& name, std::uint64_t ops_per_iter,
     result.peak_nodes = stats->peak_nodes;
   }
   return result;
+}
+
+/// Median of `samples`: one slow repetition (a round preempted on a
+/// shared host) moves a mean or a single timing, not the median, so
+/// every timing the regression check gates is a median.
+double median(std::vector<double> samples) {
+  const auto mid = samples.begin() +
+                   static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
+/// A timed loop's cost: the median round's ns per operation, and the
+/// allocations made inside every timed round (the bookkeeping between
+/// rounds is outside the count).
+struct RoundTiming {
+  double ns = 0.0;
+  std::uint64_t allocs = 0;
+};
+
+/// Time `rounds` calls of `round` (each performing `ops` operations),
+/// running the untimed, uncounted `prepare` before each one.
+template <typename Round, typename Prepare>
+RoundTiming time_rounds(int rounds, std::size_t ops, const Round& round,
+                        const Prepare& prepare) {
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(rounds));
+  std::uint64_t allocs = 0;
+  for (int r = 0; r < rounds; ++r) {
+    prepare();
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    round();
+    const auto end = std::chrono::steady_clock::now();
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    samples.push_back(
+        std::chrono::duration<double, std::nano>(end - start).count() /
+        static_cast<double>(ops));
+  }
+  return RoundTiming{median(std::move(samples)), allocs};
+}
+template <typename Round>
+RoundTiming time_rounds(int rounds, std::size_t ops, const Round& round) {
+  return time_rounds(rounds, ops, round, [] {});
+}
+
+/// The gated sections (reorder, memo_key, traversal, minimize kernels)
+/// run kPasses times, spread over the whole process.  On a shared
+/// virtual host the speed drifts by up to 2x in spells lasting seconds
+/// (measured on a 4-vCPU host), much longer than one section, so a
+/// median over rounds inside one section cannot absorb a spell; a
+/// median over passes absorbs every spell shorter than half the run.
+/// Every gated timing is recorded per pass under its JSON path;
+/// pass_median returns the median over the passes so far, so the last
+/// pass — the only one that prints and writes JSON (the others get a
+/// null writer) — reports the median over all of them.
+constexpr int kPasses = 9;
+std::map<std::string, std::vector<double>> g_pass_samples;
+
+double pass_median(const std::string& path, double sample) {
+  std::vector<double>& samples = g_pass_samples[path];
+  samples.push_back(sample);
+  return median(samples);
 }
 
 /// The headline apply benches: a pinned pool of random functions; each
@@ -388,31 +454,33 @@ bool report_reorder(bench::JsonWriter* json) {
   const std::size_t nodes_before = mgr.stats().live_nodes;
   const auto start = std::chrono::steady_clock::now();
   mgr.reorder();
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  const double ms = pass_median(
+      "reorder.sift_ms", std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
   const std::size_t nodes_after = mgr.stats().live_nodes;
   const std::uint64_t swaps = mgr.stats().reorder_swaps;
   const double reduction =
       static_cast<double>(nodes_before) /
       static_cast<double>(nodes_after == 0 ? 1 : nodes_after);
   const bool pass = nodes_after * 2 <= nodes_before;
+  if (json == nullptr) {
+    return pass;
+  }
   std::printf(
       "\nreorder (worst-order pair function, k=%u):\n"
       "  nodes %zu -> %zu (%.1fx), %llu swaps, %.2f ms  [%s]\n",
       kPairs, nodes_before, nodes_after, reduction,
       static_cast<unsigned long long>(swaps), ms,
       pass ? "PASS >= 2x" : "FAIL < 2x");
-  if (json != nullptr) {
-    json->begin_object("reorder");
-    json->field_int("pairs", kPairs);
-    json->field_int("nodes_before", nodes_before);
-    json->field_int("nodes_after", nodes_after);
-    json->field_num("reduction", reduction);
-    json->field_int("swaps", swaps);
-    json->field_num("sift_ms", ms);
-    json->end_object();
-  }
+  json->begin_object("reorder");
+  json->field_int("pairs", kPairs);
+  json->field_int("nodes_before", nodes_before);
+  json->field_int("nodes_after", nodes_after);
+  json->field_num("reduction", reduction);
+  json->field_int("swaps", swaps);
+  json->field_num("sift_ms", ms);
+  json->end_object();
   return pass;
 }
 // [reorder-end]
@@ -471,26 +539,21 @@ void report_per_op(bench::JsonWriter* json) {
 // [per-op-stats-end]
 
 // [memo-key-begin]
-/// Canonical memo-key cost triangle: what a GlobalMemo map operation
-/// pays per probe across the three key regimes —
-///   hash_probe:   hash-only shard probe on an existing handle (the
-///                 steady-state miss path; must not allocate at all),
-///   handle_create: make_memo_handle (cached per-node hash walk + one
-///                 shared_ptr; the per-generated-child cost),
-///   materialize:  LazyMemoKey::get() building the arena form (paid
-///                 once per key that ever publishes or verifies),
-///   pr9_key_build: serialize + arena pack + the 64-bit FNV walk — the
-///                 work the PRE-lazy design paid on EVERY probe.
-/// The point of the lazy split is visible as hash_probe + handle_create
-/// being far below pr9_key_build.
+/// Canonical memo-key costs per key, over a pool of random
+/// characteristics (per pass, the median of kRounds timed rounds):
+///   key_build: make_memo_key + memo_key_hash — what a memo-backed solve
+///              pays once for its root key (serialize, rank remap, arena
+///              pack, and the 64-bit FNV the memo shards and hashes by),
+///   probe:     a miss of an empty memo through a held key (shard pick +
+///              map find); it must not allocate at all (probe_allocs is
+///              an exact-zero acceptance field).
 void report_memo_key(bench::JsonWriter* json) {
   BddManager mgr{0};
   std::mt19937 rng{57};
   const RelationSpace rspace = make_space(mgr, 4, 4);
   const BooleanRelation proto(mgr, rspace.inputs, rspace.outputs,
                               mgr.one());
-  const auto space =
-      std::make_shared<const MemoSpace>(make_memo_space(proto));
+  const MemoSpace space = make_memo_space(proto);
   constexpr std::size_t kPool = 64;
   std::vector<Bdd> pool;
   pool.reserve(kPool);
@@ -498,100 +561,52 @@ void report_memo_key(bench::JsonWriter* json) {
     pool.push_back(random_function(mgr, rng, 8, 4));
   }
 
-  const auto time_loop = [](std::uint64_t ops, const auto& body) {
-    const auto start = std::chrono::steady_clock::now();
-    body();
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - start)
-               .count() /
-           static_cast<double>(ops);
-  };
-
-  // Hash-only probes of an empty memo through pre-built handles: every
-  // probe is a miss, and the miss path must serialize and allocate
-  // NOTHING (hash_probe_allocs is an exact-zero acceptance field).
-  GlobalMemo memo;
-  std::vector<MemoKeyHandle> handles;
-  handles.reserve(kPool);
-  for (const Bdd& chi : pool) {
-    handles.push_back(make_memo_handle(space, chi));
-  }
-  constexpr std::uint64_t kProbeRounds = 2000;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
-  const double hash_probe_ns =
-      time_loop(kProbeRounds * kPool, [&] {
-        for (std::uint64_t round = 0; round < kProbeRounds; ++round) {
-          for (const MemoKeyHandle& handle : handles) {
-            (void)memo.lookup(handle);
-          }
-        }
-      });
-  const std::uint64_t hash_probe_allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-
-  // Handle creation: the cached canonical-hash walk plus one
-  // shared_ptr — the whole per-generated-child key cost now.
-  constexpr std::uint64_t kCreateRounds = 200;
-  std::vector<MemoKeyHandle> fresh;
-  fresh.reserve(kPool);
-  const double handle_create_ns =
-      time_loop(kCreateRounds * kPool, [&] {
-        for (std::uint64_t round = 0; round < kCreateRounds; ++round) {
-          fresh.clear();
-          for (const Bdd& chi : pool) {
-            fresh.push_back(make_memo_handle(space, chi));
-          }
-        }
-      });
-
-  // Materialization: the arena build a key pays once when it first
-  // publishes or verifies a candidate hit.
-  const double materialize_ns = time_loop(kPool, [&] {
-    for (const MemoKeyHandle& handle : fresh) {
-      (void)handle->get();
+  constexpr int kRounds = 21;  // odd: the XOR sink survives
+  std::uint64_t sink = 0;
+  const RoundTiming key_build = time_rounds(kRounds, kPool, [&] {
+    for (const Bdd& chi : pool) {
+      sink ^= memo_key_hash(make_memo_key(space, chi));
     }
   });
 
-  // The pre-lazy per-probe cost: serialize chi, pack the arena, walk
-  // the 64-bit FNV — what EVERY map operation used to pay.
-  constexpr std::uint64_t kBuildRounds = 51;  // odd: the XOR sink survives
-  std::uint64_t sink = 0;
-  const double pr9_key_build_ns =
-      time_loop(kBuildRounds * kPool, [&] {
-        for (std::uint64_t round = 0; round < kBuildRounds; ++round) {
-          for (const Bdd& chi : pool) {
-            sink ^= memo_key_hash(make_memo_key(*space, chi));
-          }
-        }
-      });
-
-  std::printf(
-      "\nmemo_key (canonical key regimes, %zu keys):\n"
-      "  hash_probe     %10.1f ns/probe   %llu allocs (must be 0)\n"
-      "  handle_create  %10.1f ns/handle\n"
-      "  materialize    %10.1f ns/key\n"
-      "  pr9_key_build  %10.1f ns/probe   (fnv sink %llx)\n",
-      kPool, hash_probe_ns,
-      static_cast<unsigned long long>(hash_probe_allocs), handle_create_ns,
-      materialize_ns, pr9_key_build_ns,
-      static_cast<unsigned long long>(sink));
-  if (json != nullptr) {
-    json->begin_object("memo_key");
-    json->field_num("hash_probe_ns", hash_probe_ns);
-    json->field_int("hash_probe_allocs", hash_probe_allocs);
-    json->field_num("handle_create_ns", handle_create_ns);
-    json->field_num("materialize_ns", materialize_ns);
-    json->field_num("pr9_key_build_ns", pr9_key_build_ns);
-    json->end_object();
+  GlobalMemo memo;
+  std::vector<GlobalMemoKey> keys;
+  keys.reserve(kPool);
+  for (const Bdd& chi : pool) {
+    keys.push_back(make_memo_key(space, chi));
   }
+  const RoundTiming probe = time_rounds(kRounds, kPool, [&] {
+    for (const GlobalMemoKey& key : keys) {
+      sink += memo.lookup(key).has_value() ? 1 : 0;
+    }
+  });
+
+  const double key_build_ns =
+      pass_median("memo_key.key_build_ns", key_build.ns);
+  const double probe_ns = pass_median("memo_key.probe_ns", probe.ns);
+  if (json == nullptr) {
+    return;
+  }
+  std::printf(
+      "\nmemo_key (%zu keys):\n"
+      "  key_build  %10.1f ns/key\n"
+      "  probe      %10.1f ns/probe   %llu allocs (must be 0)\n"
+      "  (sink %llx)\n",
+      kPool, key_build_ns, probe_ns,
+      static_cast<unsigned long long>(probe.allocs),
+      static_cast<unsigned long long>(sink));
+  json->begin_object("memo_key");
+  json->field_num("key_build_ns", key_build_ns);
+  json->field_num("probe_ns", probe_ns);
+  json->field_int("probe_allocs", probe.allocs);
+  json->end_object();
 }
 // [memo-key-end]
 
 // [traversal-begin]
 /// The DAG traversals that run on the manager's reusable scratch: ns/op
-/// and scratch allocations per op for size, support, sat_count and
-/// serialize_bdd over a warm pool of random functions.  support() and
+/// (median round) and scratch allocations per op for size, support,
+/// sat_count and serialize_bdd over a warm pool of random functions.  support() and
 /// serialize_bdd() return one exactly-sized buffer per non-constant
 /// root; every allocation beyond those is scratch, and a warm traversal
 /// must make none (the *_allocs fields are exact-zero acceptance fields).
@@ -609,7 +624,7 @@ void report_traversal(bench::JsonWriter* json) {
     result_buffers += pool.back().is_constant() ? 0 : 1;
     nodes += pool.back().size();  // also warms the scratch
   }
-  constexpr std::uint64_t kRounds = 1000;
+  constexpr int kRounds = 200;
   const std::uint64_t ops = kRounds * kPool;
   struct Row {
     const char* name;
@@ -622,22 +637,17 @@ void report_traversal(bench::JsonWriter* json) {
     for (const Bdd& f : pool) {  // warm-up: grow the scratch once
       op(f);
     }
-    const std::uint64_t allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const RoundTiming timing = time_rounds(kRounds, kPool, [&] {
       for (const Bdd& f : pool) {
         op(f);
       }
-    }
-    const double ns = std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    const std::uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - allocs_before -
-        results_per_op * kRounds;
-    return Row{name, ns / static_cast<double>(ops),
-               static_cast<double>(allocs) / static_cast<double>(ops)};
+    });
+    const std::uint64_t scratch_allocs =
+        timing.allocs - results_per_op * kRounds;
+    return Row{name,
+               pass_median(std::string("traversal.") + name + "_ns",
+                           timing.ns),
+               static_cast<double>(scratch_allocs) / static_cast<double>(ops)};
   };
   const Row rows[] = {
       measure_op("size", 0, [&](const Bdd& f) { sink += f.size(); }),
@@ -653,6 +663,9 @@ void report_traversal(bench::JsonWriter* json) {
                    sink += mgr.serialize_bdd(f).nodes.size();
                  }),
   };
+  if (json == nullptr) {
+    return;
+  }
   std::printf("\ntraversal (%zu roots, %zu nodes in all, scratch reused):\n",
               kPool, nodes);
   for (const Row& row : rows) {
@@ -660,16 +673,14 @@ void report_traversal(bench::JsonWriter* json) {
                 row.name, row.ns_per_op, row.allocs_per_op);
   }
   std::printf("  (sink %llu)\n", static_cast<unsigned long long>(sink));
-  if (json != nullptr) {
-    json->begin_object("traversal");
-    json->field_int("roots", kPool);
-    json->field_int("nodes", nodes);
-    for (const Row& row : rows) {
-      json->field_num(std::string(row.name) + "_ns", row.ns_per_op);
-      json->field_num(std::string(row.name) + "_allocs", row.allocs_per_op);
-    }
-    json->end_object();
+  json->begin_object("traversal");
+  json->field_int("roots", kPool);
+  json->field_int("nodes", nodes);
+  for (const Row& row : rows) {
+    json->field_num(std::string(row.name) + "_ns", row.ns_per_op);
+    json->field_num(std::string(row.name) + "_allocs", row.allocs_per_op);
   }
+  json->end_object();
 }
 // [traversal-end]
 
@@ -682,29 +693,21 @@ struct KernelTiming {
 /// Time `round` (which performs `ops` kernel calls on `mgr`) over
 /// `rounds` rounds after one untimed warm-up round, GC-ing before each
 /// one when `cold` (the GC is not timed and empties the computed table,
-/// the minimize memo with it).
+/// the minimize memo with it).  ns is the median round's; allocs count
+/// every timed round.
 template <typename Round>
 KernelTiming time_kernel_rounds(BddManager& mgr, bool cold, std::size_t ops,
                                 int rounds, const Round& round) {
-  double ns = 0.0;
-  std::uint64_t allocs = 0;
   round();  // warm-up: scratch and unique tables reach steady state
-  for (int r = 0; r < rounds; ++r) {
+  const RoundTiming timing = time_rounds(rounds, ops, round, [&] {
     if (cold) {
       mgr.garbage_collect();
     }
-    const std::uint64_t allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    const auto start = std::chrono::steady_clock::now();
-    round();
-    ns += std::chrono::duration<double, std::nano>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-    allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  }
+  });
   const double total_ops =
       static_cast<double>(rounds) * static_cast<double>(ops);
-  return KernelTiming{ns / total_ops, static_cast<double>(allocs) / total_ops};
+  return KernelTiming{timing.ns,
+                      static_cast<double>(timing.allocs) / total_ops};
 }
 
 /// The ISOP width ladder behind BddManager::kIsopTableVars.  For each
@@ -724,7 +727,7 @@ std::uint64_t report_isop_width_ladder(bench::JsonWriter* json) {
   constexpr std::uint32_t kWidths[] = {6, 8, 10, 12, 14, 16};
   constexpr std::uint32_t kVars = 16;
   constexpr std::size_t kPool = 32;
-  constexpr int kRounds = 20;
+  constexpr int kRounds = 4;
   static_assert(kWidths[std::size(kWidths) - 1] <= BddManager::kIsopTableVars,
                 "every ladder width must take the truth-table path");
   using Intervals = std::vector<std::pair<Bdd, Bdd>>;
@@ -790,7 +793,8 @@ std::uint64_t report_isop_width_ladder(bench::JsonWriter* json) {
     });
     return rung;
   };
-  std::printf(
+  if (json != nullptr) {
+    std::printf(
       "\nISOP width ladder (%zu intervals per family and width, cold ns/op; "
       "truth-table allocs/op after warm-up, must be 0):\n"
       "          ---------------- dense ----------------   "
@@ -798,39 +802,45 @@ std::uint64_t report_isop_width_ladder(bench::JsonWriter* json) {
       "  width   table ns   allocs  recursion ns  ratio   "
       "table ns   allocs  recursion ns  ratio\n",
       kPool);
-  if (json != nullptr) {
     json->begin_array("isop_width_ladder");
   }
   for (const std::uint32_t width : kWidths) {
     BddManager mgr{kVars, 16};
     std::mt19937 rng{700 + width};
-    const Rung d = measure(mgr, dense(mgr, rng, width));
+    Rung d = measure(mgr, dense(mgr, rng, width));
     mgr.garbage_collect();
-    const Rung c = measure(mgr, compact(mgr, rng, width));
+    Rung c = measure(mgr, compact(mgr, rng, width));
+    const std::string at =
+        "minimize_kernels.isop_width_ladder." + std::to_string(width) + ".";
+    d.table.ns = pass_median(at + "dense_table_ns", d.table.ns);
+    d.recursion.ns = pass_median(at + "dense_recursion_ns", d.recursion.ns);
+    c.table.ns = pass_median(at + "compact_table_ns", c.table.ns);
+    c.recursion.ns = pass_median(at + "compact_recursion_ns", c.recursion.ns);
+    if (json == nullptr) {
+      continue;
+    }
     std::printf(
         "  %5u %10.1f   %6.3f  %12.1f  %5.2fx %10.1f   %6.3f  %12.1f  "
         "%5.2fx\n",
         width, d.table.ns, d.table.allocs, d.recursion.ns,
         d.recursion.ns / d.table.ns, c.table.ns, c.table.allocs,
         c.recursion.ns, c.recursion.ns / c.table.ns);
-    if (json != nullptr) {
-      json->begin_element();
-      json->field_int("width", width);
-      json->field_num("dense_table_ns", d.table.ns);
-      json->field_num("dense_recursion_ns", d.recursion.ns);
-      json->field_num("dense_table_allocs", d.table.allocs);
-      json->field_num("compact_table_ns", c.table.ns);
-      json->field_num("compact_recursion_ns", c.recursion.ns);
-      json->field_num("compact_table_allocs", c.table.allocs);
-      json->end_element();
-    }
+    json->begin_element();
+    json->field_int("width", width);
+    json->field_num("dense_table_ns", d.table.ns);
+    json->field_num("dense_recursion_ns", d.recursion.ns);
+    json->field_num("dense_table_allocs", d.table.allocs);
+    json->field_num("compact_table_ns", c.table.ns);
+    json->field_num("compact_recursion_ns", c.recursion.ns);
+    json->field_num("compact_table_allocs", c.table.allocs);
+    json->end_element();
   }
   if (json != nullptr) {
     json->end_array();
+    std::printf("  isop_tt_mismatches %llu (must be 0)  (sink %llu)\n",
+                static_cast<unsigned long long>(mismatches),
+                static_cast<unsigned long long>(sink));
   }
-  std::printf("  isop_tt_mismatches %llu (must be 0)  (sink %llu)\n",
-              static_cast<unsigned long long>(mismatches),
-              static_cast<unsigned long long>(sink));
   return mismatches;
 }
 
@@ -864,9 +874,9 @@ std::uint64_t report_minimize_kernels(bench::JsonWriter* json) {
   for (const auto& support : supports) {
     support_vars += support.size();
   }
-  constexpr int kRounds = 40;
+  constexpr int kRounds = 8;
   std::uint64_t sink = 0;
-  const auto time_rounds = [&](bool cold, std::size_t ops,
+  const auto kernel_rounds = [&](bool cold, std::size_t ops,
                                const auto& round) {
     return time_kernel_rounds(mgr, cold, ops, kRounds, round);
   };
@@ -900,17 +910,29 @@ std::uint64_t report_minimize_kernels(bench::JsonWriter* json) {
       }
     }
   };
-  const KernelTiming isop_cold = time_rounds(true, kPool, isop_function_round);
-  const KernelTiming isop_warm =
-      time_rounds(false, kPool, isop_function_round);
-  const KernelTiming cover_cold = time_rounds(true, kPool, isop_cover_round);
-  const KernelTiming essential_cold =
-      time_rounds(true, support_vars, essential_round);
-  const KernelTiming essential_warm =
-      time_rounds(false, support_vars, essential_round);
-  const KernelTiming quantify_cold =
-      time_rounds(true, support_vars, quantify_round);
-
+  KernelTiming isop_cold = kernel_rounds(true, kPool, isop_function_round);
+  KernelTiming isop_warm =
+      kernel_rounds(false, kPool, isop_function_round);
+  KernelTiming cover_cold = kernel_rounds(true, kPool, isop_cover_round);
+  KernelTiming essential_cold =
+      kernel_rounds(true, support_vars, essential_round);
+  KernelTiming essential_warm =
+      kernel_rounds(false, support_vars, essential_round);
+  KernelTiming quantify_cold =
+      kernel_rounds(true, support_vars, quantify_round);
+  const auto record = [](const char* field, KernelTiming& timing) {
+    timing.ns = pass_median(std::string("minimize_kernels.") + field,
+                            timing.ns);
+  };
+  record("isop_function_ns", isop_cold);
+  record("isop_function_warm_ns", isop_warm);
+  record("isop_cover_ns", cover_cold);
+  record("essential_test_ns", essential_cold);
+  record("essential_test_warm_ns", essential_warm);
+  record("quantify_test_ns", quantify_cold);
+  if (json == nullptr) {
+    return report_isop_width_ladder(json);
+  }
   std::printf(
       "\nminimize kernels (%zu intervals, %zu support variables):\n"
       "  isop_function   %10.1f ns/op cold  %8.1f ns/op warm  "
@@ -924,24 +946,20 @@ std::uint64_t report_minimize_kernels(bench::JsonWriter* json) {
       cover_cold.ns, essential_cold.ns, essential_warm.ns,
       essential_warm.allocs, quantify_cold.ns,
       static_cast<unsigned long long>(sink));
-  if (json != nullptr) {
-    json->begin_object("minimize_kernels");
-    json->field_int("intervals", kPool);
-    json->field_int("support_vars", support_vars);
-    json->field_num("isop_function_ns", isop_cold.ns);
-    json->field_num("isop_function_warm_ns", isop_warm.ns);
-    json->field_num("isop_function_allocs", isop_warm.allocs);
-    json->field_num("isop_cover_ns", cover_cold.ns);
-    json->field_num("essential_test_ns", essential_cold.ns);
-    json->field_num("essential_test_warm_ns", essential_warm.ns);
-    json->field_num("essential_test_allocs", essential_warm.allocs);
-    json->field_num("quantify_test_ns", quantify_cold.ns);
-  }
+  json->begin_object("minimize_kernels");
+  json->field_int("intervals", kPool);
+  json->field_int("support_vars", support_vars);
+  json->field_num("isop_function_ns", isop_cold.ns);
+  json->field_num("isop_function_warm_ns", isop_warm.ns);
+  json->field_num("isop_function_allocs", isop_warm.allocs);
+  json->field_num("isop_cover_ns", cover_cold.ns);
+  json->field_num("essential_test_ns", essential_cold.ns);
+  json->field_num("essential_test_warm_ns", essential_warm.ns);
+  json->field_num("essential_test_allocs", essential_warm.allocs);
+  json->field_num("quantify_test_ns", quantify_cold.ns);
   const std::uint64_t mismatches = report_isop_width_ladder(json);
-  if (json != nullptr) {
-    json->field_int("isop_tt_mismatches", mismatches);
-    json->end_object();
-  }
+  json->field_int("isop_tt_mismatches", mismatches);
+  json->end_object();
   return mismatches;
 }
 // [minimize-kernels-end]
@@ -980,6 +998,14 @@ int main(int argc, char** argv) {
     json.end_element();
   }
   json.end_array();
+  // Sampling passes of the gated sections (see kPasses); the last pass
+  // below prints and writes the medians.
+  for (int pass = 1; pass < kPasses; ++pass) {
+    (void)report_reorder(nullptr);
+    report_memo_key(nullptr);
+    report_traversal(nullptr);
+    (void)report_minimize_kernels(nullptr);
+  }
   // [reorder-begin]
   const bool reorder_ok = report_reorder(&json);
   // [reorder-end]

@@ -38,11 +38,9 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "bdd/bdd_hash.hpp"
 #include "bdd/stamped_map.hpp"
 #include "cover/cover.hpp"
 #include "cover/cube.hpp"
@@ -470,26 +468,6 @@ class BddManager {
   [[nodiscard]] Bdd deserialize_bdd(const SerializedBdd& s,
                                     std::uint32_t var_offset = 0);
 
-  // -- canonical structural hashing (bdd_hash.cpp) --------------------------
-  /// 128-bit hash of `f`'s canonical (identity-order) serialized form
-  /// under the rank map `rank_of` — the same value memo_key_hash128
-  /// computes from the materialized arena form, WITHOUT building any
-  /// serialized form.  Cached per node (amortized O(new nodes) across
-  /// probes of overlapping cones); the cache is stamped out whenever
-  /// node indices can be reused (GC, sifting) or the rank map changes.
-  /// `space_token` names the rank map (see MemoSpace::token): calls with
-  /// a different token than the previous call invalidate the cache,
-  /// token 0 never caches across calls.  Stable across reorders: a
-  /// reordered manager peels cofactors exactly like serialize_bdd's
-  /// canon path, so equal functions hash equally from any order.
-  /// Non-const for the same reason serialize_bdd is (scratch cofactor
-  /// cones on reordered managers).
-  [[nodiscard]] CanonicalHash128 canonical_hash(
-      const Bdd& f, std::span<const std::uint32_t> rank_of,
-      std::uint64_t space_token);
-  /// Identity rank map (rank(v) == v) — the `.bdd`-body hash.
-  [[nodiscard]] CanonicalHash128 canonical_hash(const Bdd& f);
-
   // -- thread ownership -----------------------------------------------------
   /// The manager (node store, caches, statistics) is strictly single-
   /// threaded; in debug builds every mutating entry point asserts that the
@@ -722,19 +700,6 @@ class BddManager {
   template <typename Visit>
   void for_each_dag_node(detail::Edge root, Visit&& visit);
 
-  // -- canonical-hash internals (bdd_hash.cpp) ------------------------------
-  /// Stamp out every cached canonical hash (and the min-support-var
-  /// memo).  Called wherever node indices can be reused — the end of a
-  /// GC or sift session — and on rank-map changes.
-  void chash_invalidate() noexcept;
-  [[nodiscard]] bool chash_cached(std::uint32_t idx) const noexcept;
-  void chash_store(std::uint32_t idx, CanonicalHash128 h, bool flip);
-  [[nodiscard]] CanonicalHash128 chash_identity(
-      std::uint32_t root_idx, std::span<const std::uint32_t> rank_of);
-  [[nodiscard]] CanonicalHash128 chash_reordered(
-      detail::Edge e, std::span<const std::uint32_t> rank_of,
-      bool& flip_out);
-
   // -- handle refcounts -----------------------------------------------------
   void ref_edge(detail::Edge e) noexcept;
   void deref_edge(detail::Edge e) noexcept;
@@ -795,19 +760,6 @@ class BddManager {
   std::vector<std::uint32_t> gc_mark_;   ///< stamp per node; == gc_stamp_
   std::uint32_t gc_stamp_ = 0;           ///<   means marked in current run
   std::vector<std::uint32_t> gc_stack_;
-  // Canonical-hash cache (bdd_hash.cpp): per-node record hash + the
-  // canonical flip bit, stamped like gc_mark_ (entry valid iff its
-  // stamp equals chash_epoch_).  The space token names the rank map the
-  // cached hashes were computed under.
-  std::vector<CanonicalHash128> chash_;
-  std::vector<std::uint8_t> chash_flip_;
-  std::vector<std::uint32_t> chash_stamp_;
-  std::uint32_t chash_epoch_ = 1;  ///< > 0 so default stamps are invalid
-  std::uint64_t chash_space_token_ = 0;
-  std::vector<std::uint32_t> chash_stack_;  ///< identity-walk scratch
-  /// Min support var per regular node index (the reordered walk's peel
-  /// variable); function-determined, cleared with the hash cache.
-  std::unordered_map<std::uint32_t, std::uint32_t> chash_minvar_;
   // Traversal scratch of size(), support(), sat_count(), shortest_cube(),
   // compose() and serialize_bdd's identity path, reused across calls so a
   // warm walk allocates nothing.  Every buffer grows with the largest DAG

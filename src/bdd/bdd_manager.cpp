@@ -521,9 +521,6 @@ void BddManager::garbage_collect() {
   // The computed cache and unique tables reference dead nodes; rebuild.
   std::fill(cache_.begin(), cache_.end(), CacheEntry{});
   rebuild_subtables();
-  // Freed indices can be reallocated to different functions; their
-  // cached canonical hashes must not survive that.
-  chash_invalidate();
   stats_.live_nodes = live_nodes();
   ++stats_.gc_runs;
 }

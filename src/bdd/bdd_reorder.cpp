@@ -369,11 +369,6 @@ void BddManager::reorder_internal(double max_growth, bool already_collected) {
       break;
     }
   }
-  // Sifting frees orphaned nodes eagerly and reuses their indices, so
-  // cached canonical hashes may now name different functions.  (The
-  // hashes themselves are order-independent — live roots re-hash to the
-  // same value afterwards; test_memo_keys.cpp pins that.)
-  chash_invalidate();
   stats_.live_nodes = live_nodes();
   stats_.reorder_nodes_after = stats_.live_nodes;
   ++stats_.reorders;
@@ -398,7 +393,6 @@ bool BddManager::reset_variables() {
   reorder_threshold_ = reorder_first_threshold_;
   std::fill(cache_.begin(), cache_.end(), CacheEntry{});
   gc_mark_.clear();
-  chash_invalidate();
   stats_.live_nodes = 0;
   return true;
 }

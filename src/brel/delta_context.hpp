@@ -45,9 +45,8 @@ class DeltaRegistry {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// The most recent base characteristic solved over these rank spaces,
-  /// or nullptr.  Takes the rank lists (they live in the MemoSpace), so
-  /// learning whether a base exists needs no materialized key.  The
-  /// pointer is owned by the registry and invalidated by the next
+  /// or nullptr.  Takes the rank lists (they live in the MemoSpace).
+  /// The pointer is owned by the registry and invalidated by the next
   /// remember().
   [[nodiscard]] const SerializedBdd* find_base(
       std::span<const std::uint32_t> input_ranks,

@@ -12,12 +12,6 @@ namespace {
 
 constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
 
-// Process-global creation sequence (see the member-block comment in the
-// header): created_seq values are the verification tokens handles carry
-// across memo instances, so they must be unique process-wide, not
-// per-memo.
-std::atomic<std::uint64_t> g_insert_seq{0};
-
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) {
@@ -69,20 +63,14 @@ GlobalMemo::GlobalMemo(std::size_t capacity, std::size_t shards)
   }
 }
 
-std::size_t GlobalMemo::shard_of_hash(
-    const CanonicalHash128& h) const noexcept {
+std::size_t GlobalMemo::shard_of(const GlobalMemoKey& key) const {
   if (shards_.size() == 1) {
     return 0;
   }
-  // TOP bits of the low word: the map's buckets consume the same word
-  // from the bottom (Hash128Hasher), and the word is already a
-  // splitmix64 digest, so the top byte is an independent uniform mix —
-  // no extra multiply needed.
-  return static_cast<std::size_t>(h.lo >> 56) & (shards_.size() - 1);
-}
-
-std::size_t GlobalMemo::shard_of(const GlobalMemoKey& key) const noexcept {
-  return shard_of_hash(memo_key_hash128(key));
+  // TOP bits: FNV-1a's multiply carries every fed word upward, so the
+  // high byte is the best-mixed part of the hash.
+  return static_cast<std::size_t>(memo_key_hash(key) >> 56) &
+         (shards_.size() - 1);
 }
 
 std::size_t GlobalMemo::shard_size(std::size_t shard) const {
@@ -112,69 +100,8 @@ std::optional<MemoFingerprint> GlobalMemo::fingerprint() const {
   return fingerprint_;
 }
 
-GlobalMemo::Shard::Map::iterator GlobalMemo::find_verified(
-    Shard& shard, std::unique_lock<TimedMutex>& lk,
-    const LazyMemoKey& handle) const {
-  for (;;) {
-    const auto it = shard.map.find(handle.hash);
-    if (it == shard.map.end()) {
-      // The common case: a hash-only miss.  Nothing was serialized.
-      return it;
-    }
-    Entry& entry = it->second;
-    if (handle.verified_seq.load(std::memory_order_relaxed) ==
-        entry.created_seq) {
-      // This handle already compared equal against this exact entry
-      // (created_seq is process-unique); skip even the word-compare.
-      return it;
-    }
-    if (handle.materialized()) {
-      if (handle.get() == *entry.key) {
-        handle.verified_seq.store(entry.created_seq,
-                                  std::memory_order_relaxed);
-        return it;
-      }
-      shard.collisions.fetch_add(1, std::memory_order_relaxed);
-      return shard.map.end();
-    }
-    // Candidate hit on a HASHED handle: materialize OUTSIDE the lock
-    // (manager work never runs under a shard mutex) and re-find — the
-    // entry may have been evicted or replaced while unlocked.
-    lk.unlock();
-    (void)handle.get();
-    lk.lock();
-  }
-}
-
-GlobalMemo::Shard::Map::iterator GlobalMemo::find_verified(
-    Shard& shard, const CanonicalHash128& hash,
-    const GlobalMemoKey& key) const {
-  const auto it = shard.map.find(hash);
-  if (it == shard.map.end()) {
-    return it;
-  }
-  if (*it->second.key == key) {
-    return it;
-  }
-  shard.collisions.fetch_add(1, std::memory_order_relaxed);
-  return shard.map.end();
-}
-
-std::optional<PortableSolution> GlobalMemo::serve(const Shard& shard,
-                                                  const Entry& entry) const {
-  touch(shard, entry);
-  if (!entry.solution.has_solution()) {
-    return std::nullopt;
-  }
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  shard.hits_by_origin[static_cast<std::size_t>(entry.origin)].fetch_add(
-      1, std::memory_order_relaxed);
-  return entry.solution;
-}
-
 std::optional<PortableSolution> GlobalMemo::pull_from_peer(
-    MemoExchange& exchange, const GlobalMemoKey& key,
-    const CanonicalHash128& hash) {
+    MemoExchange& exchange, const GlobalMemoKey& key) {
   std::optional<MemoExportEntry> record = exchange.pull(key);
   if (!record.has_value() || !record->solution.has_solution()) {
     return std::nullopt;
@@ -182,171 +109,92 @@ std::optional<PortableSolution> GlobalMemo::pull_from_peer(
   // Installed before serving, so the next identical probe is a plain
   // local hit.  The local probe already counted this probe's miss.
   (void)install(*record, MemoOrigin::kPeer);
-  const Shard& shard = *shards_[shard_of_hash(hash)];
+  const Shard& shard = shard_for(key);
   shard.hits.fetch_add(1, std::memory_order_relaxed);
   shard.hits_by_origin[static_cast<std::size_t>(MemoOrigin::kPeer)].fetch_add(
       1, std::memory_order_relaxed);
   return std::move(record->solution);
 }
 
-void GlobalMemo::notify_inserted(const GlobalMemoKey& key) const {
-  if (MemoExchange* const exchange = peer_.load(std::memory_order_acquire)) {
-    exchange->enqueue_push(key);
-  }
-}
-
-std::optional<PortableSolution> GlobalMemo::lookup(const MemoKeyHandle& key) {
-  Shard& shard = *shards_[shard_of_hash(key->hash)];
-  shard.probes.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::unique_lock lk(shard.mutex);
-    if (const auto it = find_verified(shard, lk, *key);
-        it != shard.map.end()) {
-      return serve(shard, it->second);
-    }
-  }
-  // The wire needs the full canonical form, so a miss materializes the
-  // handle only when a peer is wired; a plain local miss stays hash-only.
-  MemoExchange* const exchange = peer_.load(std::memory_order_acquire);
-  if (exchange == nullptr) {
-    return std::nullopt;
-  }
-  return pull_from_peer(*exchange, key->get(), key->hash);
-}
-
 std::optional<PortableSolution> GlobalMemo::lookup(const GlobalMemoKey& key) {
-  const CanonicalHash128 hash = memo_key_hash128(key);
-  Shard& shard = *shards_[shard_of_hash(hash)];
+  Shard& shard = shard_for(key);
   shard.probes.fetch_add(1, std::memory_order_relaxed);
   {
     const std::scoped_lock lock(shard.mutex);
-    if (const auto it = find_verified(shard, hash, key);
-        it != shard.map.end()) {
-      return serve(shard, it->second);
+    if (const auto it = shard.map.find(key); it != shard.map.end()) {
+      const Entry& entry = it->second;
+      touch(shard, entry);
+      if (!entry.solution.has_solution()) {
+        return std::nullopt;
+      }
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      shard.hits_by_origin[static_cast<std::size_t>(entry.origin)].fetch_add(
+          1, std::memory_order_relaxed);
+      return entry.solution;
     }
   }
   MemoExchange* const exchange = peer_.load(std::memory_order_acquire);
   if (exchange == nullptr) {
     return std::nullopt;
   }
-  return pull_from_peer(*exchange, key, hash);
+  return pull_from_peer(*exchange, key);
 }
 
-GlobalMemo::Entry* GlobalMemo::emplace_entry(
-    Shard& shard, const CanonicalHash128& hash,
-    std::shared_ptr<const GlobalMemoKey> key, MemoOrigin origin) {
-  if (shard_capacity_ == 0) {
-    return nullptr;
-  }
-  if (shard.map.size() >= shard_capacity_) {
-    // LRU eviction, per shard: the victim is this shard's entry longest
-    // untouched by any lookup/publish.
-    shard.map.erase(shard.lru.back());
-    shard.lru.pop_back();
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  Entry fresh;
-  fresh.key = std::move(key);
-  fresh.origin = origin;
-  fresh.created_seq = g_insert_seq.fetch_add(1) + 1;
-  fresh.lru = shard.lru.end();
-  const auto it = shard.map.emplace(hash, std::move(fresh)).first;
-  shard.lru.push_front(hash);
-  it->second.lru = shard.lru.begin();
-  return &it->second;
-}
-
-void GlobalMemo::publish(const MemoKeyHandle& key,
-                         const PortableSolution& solution) {
-  Shard& shard = *shards_[shard_of_hash(key->hash)];
-  shard.publishes.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock lk(shard.mutex);
-  for (;;) {
-    const auto it = find_verified(shard, lk, *key);
-    if (it != shard.map.end()) {
-      touch(shard, it->second);
-      if (improves(solution, it->second.solution)) {
-        it->second.solution = solution;
-      }
-      return;
-    }
-    if (shard.map.find(key->hash) != shard.map.end()) {
-      // The hash is held by a DIFFERENT key (find_verified counted the
-      // collision): first key wins, the publish is dropped.  Costs a
-      // memo entry, never correctness.
-      return;
-    }
-    if (key->materialized()) {
-      break;
-    }
-    // First insert of a HASHED handle: this is the one sanctioned
-    // materialization point of the publish path — outside the lock,
-    // re-checking for a raced insert after relocking.
-    lk.unlock();
-    (void)key->get();
-    lk.lock();
-  }
-  Entry* entry =
-      emplace_entry(shard, key->hash, key->shared_key(), MemoOrigin::kRun);
-  if (entry == nullptr) {
-    return;
-  }
-  entry->solution = solution;
-  key->verified_seq.store(entry->created_seq, std::memory_order_relaxed);
-  lk.unlock();
-  notify_inserted(key->get());
-}
-
-GlobalMemo::Upsert GlobalMemo::upsert(const CanonicalHash128& hash,
-                                      const GlobalMemoKey& key,
+GlobalMemo::Upsert GlobalMemo::upsert(const GlobalMemoKey& key,
                                       const PortableSolution& solution,
                                       std::uint64_t complete_depth,
                                       bool root_exact, MemoOrigin origin) {
-  Shard& shard = *shards_[shard_of_hash(hash)];
+  if (shard_capacity_ == 0) {
+    return Upsert::kUnchanged;
+  }
+  Shard& shard = shard_for(key);
   const std::scoped_lock lock(shard.mutex);
-  if (const auto it = find_verified(shard, hash, key);
-      it != shard.map.end()) {
+  const auto [it, inserted] = shard.map.try_emplace(key);
+  Entry& entry = it->second;
+  if (!inserted) {
     // Improvements to present entries never evict and keep the entry's
     // mark.  Cost ties fall through to the canonical order so the
     // accumulated winner is independent of which run/worker published
     // first — a served entry must reproduce the exact function a cold
     // deterministic solve would keep.
-    touch(shard, it->second);
-    if (!improves(solution, it->second.solution)) {
+    touch(shard, entry);
+    if (!improves(solution, entry.solution)) {
       return Upsert::kUnchanged;
     }
-    it->second.solution = solution;
+    entry.solution = solution;
     return Upsert::kImproved;
   }
-  if (shard.map.find(hash) != shard.map.end()) {
-    return Upsert::kUnchanged;  // collision: first key wins
+  entry.solution = solution;
+  entry.complete_depth = complete_depth;
+  entry.root_exact = root_exact;
+  entry.origin = origin;
+  shard.lru.push_front(&it->first);
+  entry.lru = shard.lru.begin();
+  if (shard.map.size() > shard_capacity_) {
+    // LRU eviction, per shard: the victim is this shard's entry longest
+    // untouched by any lookup/publish (never the one just inserted, which
+    // is at the front).
+    shard.map.erase(shard.map.find(*shard.lru.back()));
+    shard.lru.pop_back();
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  Entry* entry = emplace_entry(
-      shard, hash, std::make_shared<const GlobalMemoKey>(key), origin);
-  if (entry == nullptr) {
-    return Upsert::kUnchanged;
-  }
-  entry->solution = solution;
-  entry->complete_depth = complete_depth;
-  entry->root_exact = root_exact;
   return Upsert::kInserted;
 }
 
 void GlobalMemo::publish(const GlobalMemoKey& key,
                          const PortableSolution& solution) {
-  const CanonicalHash128 hash = memo_key_hash128(key);
-  shards_[shard_of_hash(hash)]->publishes.fetch_add(1,
-                                                    std::memory_order_relaxed);
-  if (upsert(hash, key, solution, 0, true, MemoOrigin::kRun) ==
-      Upsert::kInserted) {
-    notify_inserted(key);
+  shard_for(key).publishes.fetch_add(1, std::memory_order_relaxed);
+  if (upsert(key, solution, 0, true, MemoOrigin::kRun) == Upsert::kInserted) {
+    if (MemoExchange* const exchange =
+            peer_.load(std::memory_order_acquire)) {
+      exchange->enqueue_push(key);
+    }
   }
 }
 
 bool GlobalMemo::install(const MemoExportEntry& record, MemoOrigin origin) {
-  return upsert(memo_key_hash128(record.key), record.key, record.solution,
-                record.complete_depth, record.root_exact,
-                origin) != Upsert::kUnchanged;
+  return upsert(record.key, record.solution, record.complete_depth,
+                record.root_exact, origin) != Upsert::kUnchanged;
 }
 
 void GlobalMemo::export_entries(
@@ -358,9 +206,9 @@ void GlobalMemo::export_entries(
     std::vector<MemoExportEntry> batch;
     {
       const std::scoped_lock lock(shard->mutex);
-      for (const auto& [hash, entry] : shard->map) {
+      for (const auto& [key, entry] : shard->map) {
         if (entry.solution.has_solution()) {
-          batch.push_back(to_export(entry));
+          batch.push_back(to_export(key, entry));
         }
       }
     }
@@ -372,14 +220,13 @@ void GlobalMemo::export_entries(
 
 std::optional<MemoExportEntry> GlobalMemo::export_entry(
     const GlobalMemoKey& key) const {
-  const CanonicalHash128 hash = memo_key_hash128(key);
-  Shard& shard = *shards_[shard_of_hash(hash)];
+  const Shard& shard = shard_for(key);
   const std::scoped_lock lock(shard.mutex);
-  const auto it = find_verified(shard, hash, key);
+  const auto it = shard.map.find(key);
   if (it == shard.map.end() || !it->second.solution.has_solution()) {
     return std::nullopt;
   }
-  return to_export(it->second);
+  return to_export(it->first, it->second);
 }
 
 void GlobalMemo::set_peer(MemoExchange* exchange) {
@@ -423,14 +270,6 @@ std::uint64_t GlobalMemo::evictions() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->evictions.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t GlobalMemo::collisions() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->collisions.load(std::memory_order_relaxed);
   }
   return total;
 }

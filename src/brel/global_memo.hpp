@@ -6,12 +6,12 @@
 /// Service traffic repeats whole requests, and every node of one search
 /// tree is a distinct subrelation (Property 5.4), so the only answer a
 /// memo can serve is a root answer.  SearchEngine and ParallelEngine
-/// probe once, at the root, with lookup(); a miss searches with no memo
-/// traffic at all; a drained run publishes its returned result under the
-/// root key once (publish_root_result in search.hpp).  One entry per
-/// distinct solved relation, one probe and at most one publish per
-/// solve.  Every entry serves: an interrupted run publishes nothing, so
-/// the memo never holds a partial answer.
+/// build the root's canonical key once (make_memo_key), probe with it
+/// once, and — after a drained run — publish their returned result under
+/// that same key once; a miss searches with no memo traffic at all.  One
+/// entry per distinct solved relation, one probe and at most one publish
+/// per solve.  Every entry serves: an interrupted run publishes nothing,
+/// so the memo never holds a partial answer.
 ///
 /// Keys are the canonical portable form (GlobalMemoKey): the
 /// rank-remapped characteristic plus the input/output rank split, so a
@@ -22,39 +22,19 @@
 /// never a cross-manager handle.
 ///
 /// Lifetime/GC contract: entries are PLAIN DATA — no `Bdd` handles, no
-/// pinned edges, no reference counts.  Any manager may garbage-collect at
-/// any time without invalidating the memo, which is what lets managers
-/// outlive individual solves in the pool.
+/// pinned edges, no reference counts.  Any manager may garbage-collect or
+/// sift at any time without invalidating the memo, which is what lets
+/// managers outlive individual solves in the pool.
 ///
-/// TWO-PHASE PROBE (the hash-consed key fast path): the shard maps are
-/// keyed by the 128-bit canonical hash (memo_key_hash128), not by the
-/// serialized key itself.  The engines probe with a `MemoKeyHandle` — a
-/// LazyMemoKey carrying just the hash plus the live chi handle — so a
-/// MISS, the overwhelming majority of probes, costs one cached-hash
-/// lookup and serializes NOTHING.  Only a candidate hit (the hash is
-/// present) forces the full canonical key into existence, to verify the
-/// match: the stored entry keeps its materialized key
-/// (shared_ptr<const GlobalMemoKey>), the handle materializes its own
-/// OUTSIDE the shard lock, and a word-compare disambiguates.  A verified
-/// handle caches the entry's created_seq in `verified_seq`, so a
-/// re-probe or republish through the same handle skips even the compare.  A hash
-/// collision against a DIFFERENT key (never observed for a 128-bit
-/// structural hash, but load-bearing for soundness) is counted and
-/// treated as a miss; publishes under a colliding hash are dropped
-/// (first key wins), so a collision can cost a memo hit but can never
-/// serve or corrupt a wrong solution.
-///
-/// Concurrency: the table is SHARDED by canonical-key hash into
-/// independently locked shards (per-shard mutex, map, LRU list).  A probe
-/// or publish takes exactly one shard lock, so workers hashing to
-/// different shards never contend.  Keys and entries are value types, and
-/// no BDD manager is ever touched under a shard lock (hash-to-key
-/// materialization releases the shard lock around the manager work and
-/// re-finds after relocking).  Counters
-/// (probes/hits/publishes/evictions) are per-shard relaxed atomics folded
-/// lazily on read, off the locked path entirely — the `BddStats` idiom.
-/// The entry-creation sequence is a process-wide atomic (see
-/// LazyMemoKey::verified_seq).
+/// Concurrency: the table is SHARDED into independently locked shards
+/// (per-shard mutex, map, LRU list), picked by the top bits of
+/// memo_key_hash — the same frozen 64-bit hash the snapshot checksum and
+/// the peer ring use; each shard's map hashes with it too and compares
+/// whole keys, so two distinct keys can never share an entry.  A probe
+/// or publish takes exactly one shard lock and touches no BDD manager.
+/// Counters (probes/hits/publishes/evictions) are per-shard relaxed
+/// atomics folded lazily on read, off the locked path entirely — the
+/// `BddStats` idiom.
 ///
 /// Comparability: memos are only sound between runs minimizing the same
 /// objective in the same mode.  bind() stamps the memo with a
@@ -120,14 +100,6 @@ class GlobalMemo {
   /// the key's record is pulled from its owning peer, installed locally
   /// as MemoOrigin::kPeer and served; the next identical probe is a plain
   /// local hit.
-  ///
-  /// The handle form is the two-phase probe (see the file comment): a
-  /// miss serializes nothing unless a wired exchange needs the full
-  /// canonical form for the wire; a candidate hit verifies by materializing the
-  /// handle's key outside the shard lock.  The key form is for callers
-  /// that already hold a materialized key (the exchange, tests).
-  [[nodiscard]] std::optional<PortableSolution> lookup(
-      const MemoKeyHandle& key);
   [[nodiscard]] std::optional<PortableSolution> lookup(
       const GlobalMemoKey& key);
 
@@ -140,13 +112,6 @@ class GlobalMemo {
   /// finds the key present), so a long-lived service retains its hot
   /// working set; improvements to present keys never evict anything.
   /// Only an insert queues a push to a wired exchange.
-  ///
-  /// The handle form materializes the key only on first insert (lazily,
-  /// outside the shard lock); improvements to a verified present entry
-  /// never touch the serialized form at all.  A publish whose hash is
-  /// held by a DIFFERENT key is dropped (first key wins; counted by
-  /// collisions()).
-  void publish(const MemoKeyHandle& key, const PortableSolution& solution);
   void publish(const GlobalMemoKey& key, const PortableSolution& solution);
 
   /// Install a process-crossing record (snapshot load, peer pull/push),
@@ -181,7 +146,7 @@ class GlobalMemo {
     return shards_.size();
   }
   /// Shard index `key` hashes to (stable for the memo's lifetime).
-  [[nodiscard]] std::size_t shard_of(const GlobalMemoKey& key) const noexcept;
+  [[nodiscard]] std::size_t shard_of(const GlobalMemoKey& key) const;
   /// Entry count of one shard (for distribution diagnostics/tests).
   [[nodiscard]] std::size_t shard_size(std::size_t shard) const;
   /// Per-shard slice of the capacity bound (SIZE_MAX when unlimited).
@@ -196,65 +161,51 @@ class GlobalMemo {
   [[nodiscard]] std::uint64_t publishes() const;
   /// Entries removed by the capacity bound's LRU policy so far.
   [[nodiscard]] std::uint64_t evictions() const;
-  /// Probes/publishes whose 128-bit hash matched an entry holding a
-  /// DIFFERENT canonical key (detected by the verify step; treated as a
-  /// miss / dropped publish).  Expected to stay 0 outside the forced-
-  /// collision tests — nonzero here in production means hash quality
-  /// trouble worth investigating, never a wrong answer.
-  [[nodiscard]] std::uint64_t collisions() const;
+  /// Always 0: the maps compare whole keys, so distinct keys never
+  /// collide.  Kept for the brelbench `global_memo.collisions` field.
+  [[nodiscard]] std::uint64_t collisions() const noexcept { return 0; }
   /// Hits broken down by the serving entry's origin (run / snapshot /
   /// peer) — the per-origin accounting the STATS surface reports.
   [[nodiscard]] std::uint64_t hits_from(MemoOrigin origin) const;
 
  private:
-  /// The map consumes the LOW word of the 128-bit canonical hash (its
-  /// buckets take the bottom bits); shard selection takes the TOP bits
-  /// of the same word, so the two never correlate.  The high word is
-  /// pure collision margin for the verify step.
-  struct Hash128Hasher {
-    [[nodiscard]] std::size_t operator()(
-        const CanonicalHash128& h) const noexcept {
-      return static_cast<std::size_t>(h.lo);
+  /// The map hasher: the frozen 64-bit key hash (memo_key_hash).  Not
+  /// noexcept: libstdc++ then caches each node's hash code, so bucket
+  /// walks and rehashes never re-hash a stored key.
+  struct KeyHasher {
+    [[nodiscard]] std::size_t operator()(const GlobalMemoKey& key) const {
+      return static_cast<std::size_t>(memo_key_hash(key));
     }
   };
   struct Entry {
-    /// The verified canonical identity of this entry — shared with the
-    /// publishing handle, so insertion never copies the arena.  Needed
-    /// (beyond the map's hash key) to verify candidate hits and to
-    /// export: entries stay PLAIN DATA.
-    std::shared_ptr<const GlobalMemoKey> key;
     PortableSolution solution;
     /// The record mark, opaque to the memo: a run's publish is a root
     /// record; an installed record keeps the mark it arrived with.
     std::uint64_t complete_depth = 0;
     bool root_exact = true;
     MemoOrigin origin = MemoOrigin::kRun;  ///< who created the entry
-    /// Process-unique creation number: the token a verified handle
-    /// caches in LazyMemoKey::verified_seq.
-    std::uint64_t created_seq = 0;
     /// Position in the shard's lru (most-recently-touched at the
     /// front).  List iterators survive splices, so a const lookup can
     /// refresh recency without touching the entry itself.
-    std::list<CanonicalHash128>::iterator lru;
+    std::list<const GlobalMemoKey*>::iterator lru;
   };
 
   /// One independently locked slice of the table.  All shard mutexes
   /// share the "memo" lock-stats group, so contention reports aggregate
   /// across shards automatically.
   struct Shard {
-    using Map =
-        std::unordered_map<CanonicalHash128, Entry, Hash128Hasher>;
+    using Map = std::unordered_map<GlobalMemoKey, Entry, KeyHasher>;
     mutable TimedMutex mutex{lock_names::kMemo};
     Map map;
-    /// Recency order over this shard's hash keys (values, not pointers
-    /// — a CanonicalHash128 is two words); back() is the victim.
-    mutable std::list<CanonicalHash128> lru;
+    /// Recency order over this shard's keys, pointing at the map's own
+    /// key objects (node-based, so stable until erased); back() is the
+    /// victim.
+    mutable std::list<const GlobalMemoKey*> lru;
     // Folded lazily by the accessors; never read under the mutex.
     mutable std::atomic<std::uint64_t> hits{0};
     mutable std::atomic<std::uint64_t> probes{0};
     std::atomic<std::uint64_t> publishes{0};
     std::atomic<std::uint64_t> evictions{0};
-    mutable std::atomic<std::uint64_t> collisions{0};
     mutable std::atomic<std::uint64_t> hits_by_origin[kMemoOriginCount] = {};
   };
 
@@ -265,61 +216,29 @@ class GlobalMemo {
   }
 
   /// Record form of an entry (mutex held).
-  [[nodiscard]] static MemoExportEntry to_export(const Entry& entry) {
-    return MemoExportEntry{*entry.key, entry.solution, entry.complete_depth,
+  [[nodiscard]] static MemoExportEntry to_export(const GlobalMemoKey& key,
+                                                 const Entry& entry) {
+    return MemoExportEntry{key, entry.solution, entry.complete_depth,
                            entry.root_exact};
   }
 
-  /// Shard index for a canonical hash (stable for the memo's lifetime).
-  [[nodiscard]] std::size_t shard_of_hash(
-      const CanonicalHash128& h) const noexcept;
+  /// The shard `key` lives in.
+  [[nodiscard]] Shard& shard_for(const GlobalMemoKey& key) const {
+    return *shards_[shard_of(key)];
+  }
 
-  /// Resolve `handle` to its IDENTITY-VERIFIED entry, or map.end() on a
-  /// miss / collision (counted).  Entered with `lk` holding the shard
-  /// mutex; may RELEASE and re-acquire it to materialize the handle's
-  /// key (manager work never runs under a shard lock), re-finding after
-  /// relock since the entry may have moved.  On success the handle
-  /// caches the entry's created_seq so its next probe skips the
-  /// compare entirely.
-  Shard::Map::iterator find_verified(Shard& shard,
-                                     std::unique_lock<TimedMutex>& lk,
-                                     const LazyMemoKey& handle) const;
-
-  /// Key-form verify (compat path; mutex held, never released): the
-  /// caller already owns a materialized key, so a candidate hit is one
-  /// word-compare away.
-  Shard::Map::iterator find_verified(Shard& shard,
-                                     const CanonicalHash128& hash,
-                                     const GlobalMemoKey& key) const;
-
-  /// Serve an identity-verified entry (mutex held): touches recency,
-  /// counts the hit, and copies the solution out.
-  std::optional<PortableSolution> serve(const Shard& shard,
-                                        const Entry& entry) const;
-
-  /// Pull `key` (hashing to `hash`) from `exchange` after a local miss;
-  /// installs and serves a returned record (a kPeer hit).
+  /// Pull `key` from `exchange` after a local miss; installs and serves a
+  /// returned record (a kPeer hit).
   std::optional<PortableSolution> pull_from_peer(MemoExchange& exchange,
-                                                 const GlobalMemoKey& key,
-                                                 const CanonicalHash128& hash);
+                                                 const GlobalMemoKey& key);
 
-  /// Queue a push of a freshly inserted `key` to a wired exchange.
-  void notify_inserted(const GlobalMemoKey& key) const;
-
-  /// Key-form insert-or-improve shared by publish and install (`hash` is
-  /// memo_key_hash128(key)): a new key inserts with the given mark and
-  /// origin, a present key's solution improves under the publish rules
-  /// (its mark stays).
+  /// Insert-or-improve shared by publish and install: a new key inserts
+  /// with the given mark and origin, a present key's solution improves
+  /// under the publish rules (its mark stays).
   enum class Upsert { kUnchanged, kImproved, kInserted };
-  Upsert upsert(const CanonicalHash128& hash, const GlobalMemoKey& key,
-                const PortableSolution& solution, std::uint64_t complete_depth,
-                bool root_exact, MemoOrigin origin);
-
-  /// Insert an entry for (`hash`, `key`), evicting per the LRU policy
-  /// (mutex held).  Returns nullptr when shard_capacity_ is 0.
-  Entry* emplace_entry(Shard& shard, const CanonicalHash128& hash,
-                       std::shared_ptr<const GlobalMemoKey> key,
-                       MemoOrigin origin);
+  Upsert upsert(const GlobalMemoKey& key, const PortableSolution& solution,
+                std::uint64_t complete_depth, bool root_exact,
+                MemoOrigin origin);
 
   std::size_t capacity_;        ///< total bound across shards
   std::size_t shard_capacity_;  ///< per-shard slice of the bound
@@ -331,14 +250,6 @@ class GlobalMemo {
   /// The wired exchange; a plain atomic pointer because the server wires
   /// it before traffic and disconnects it after the drain.
   std::atomic<MemoExchange*> peer_{nullptr};
-
-  // The entry-creation sequence counter is PROCESS-GLOBAL (a file-local
-  // atomic in global_memo.cpp), not a member: created_seq values double
-  // as the verification tokens handles cache in
-  // LazyMemoKey::verified_seq, and a handle could outlive one memo and
-  // probe another (tests do; embedders may).  Process-unique tokens make
-  // a stale token merely cost a redundant compare, never validate
-  // against the wrong entry.
 };
 
 }  // namespace brel

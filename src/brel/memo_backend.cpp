@@ -49,9 +49,6 @@ struct Fnv {
   }
 };
 
-/// Space tokens start above kIdentityHashSpace (1); 0 stays "uncacheable".
-std::atomic<std::uint64_t> g_space_token{2};
-
 std::atomic<std::uint64_t> g_key_builds{0};
 std::atomic<std::uint64_t> g_key_build_ns{0};
 
@@ -59,7 +56,6 @@ std::atomic<std::uint64_t> g_key_build_ns{0};
 
 MemoSpace make_memo_space(const BooleanRelation& r) {
   MemoSpace space;
-  space.token = g_space_token.fetch_add(1, std::memory_order_relaxed);
   space.sorted_vars.reserve(r.num_inputs() + r.num_outputs());
   space.sorted_vars.insert(space.sorted_vars.end(), r.inputs().begin(),
                            r.inputs().end());
@@ -97,10 +93,9 @@ GlobalMemoKey::GlobalMemoKey(const SerializedBdd& chi,
   words_.push_back(static_cast<std::uint32_t>(output_ranks.size()));
   for (std::size_t k = 0; k < n; ++k) {
     const SerializedBdd::Node& node = chi.nodes[k];
-    // Child-before-parent (node k has id k + 1): the arena walkers
-    // index h[child_id] while building forward and must never read
-    // ahead.  serialize_bdd always emits this order; a corrupt snapshot
-    // key fails here, loudly.
+    // Child-before-parent (node k has id k + 1): serialize_bdd always
+    // emits this order, so a key that breaks it (a corrupt snapshot or
+    // wire key) fails here, loudly, before it can enter the memo.
     if ((node.hi >> 1) > k || (node.lo >> 1) > k) {
       throw std::invalid_argument(
           "GlobalMemoKey: child id not smaller than parent id");
@@ -129,9 +124,22 @@ SerializedBdd GlobalMemoKey::chi() const {
 }
 
 GlobalMemoKey make_memo_key(const MemoSpace& space, const Bdd& chi) {
+  const auto start = std::chrono::steady_clock::now();
   const SerializedBdd canonical =
       remap_vars(serialize_bdd(chi), space.rank_of, MemoSpace::kUnranked);
-  return GlobalMemoKey(canonical, space.input_ranks, space.output_ranks);
+  GlobalMemoKey key(canonical, space.input_ranks, space.output_ranks);
+  const auto end = std::chrono::steady_clock::now();
+  g_key_builds.fetch_add(1, std::memory_order_relaxed);
+  g_key_build_ns.fetch_add(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+          .count(),
+      std::memory_order_relaxed);
+  return key;
+}
+
+GlobalMemoKey make_memo_handle(const std::shared_ptr<const MemoSpace>& space,
+                               const Bdd& chi) {
+  return make_memo_key(*space, chi);
 }
 
 std::uint64_t memo_key_hash(const GlobalMemoKey& key) {
@@ -152,86 +160,9 @@ std::uint64_t memo_key_hash(const GlobalMemoKey& key) {
   return h.state;
 }
 
-CanonicalHash128 memo_key_hash128(const GlobalMemoKey& key) {
-  // The arena walk: rebuild each node's structural hash bottom-up from
-  // its record, in lockstep with BddManager::canonical_hash (node vars
-  // here are already ranks).
-  const std::size_t n = key.node_count();
-  std::vector<CanonicalHash128> h(n + 1);
-  h[0] = chash::kOneHash;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t hi = key.node_hi(k);
-    const std::uint32_t lo = key.node_lo(k);
-    h[k + 1] = chash::node_hash(
-        key.node_var(k), chash::edge_hash(h[hi >> 1], (hi & 1u) != 0),
-        chash::edge_hash(h[lo >> 1], (lo & 1u) != 0));
-  }
-  const std::uint32_t root = key.chi_root();
-  return memo_key_hash128(
-      chash::edge_hash(h[root >> 1], (root & 1u) != 0), key.input_ranks(),
-      key.output_ranks());
-}
-
-CanonicalHash128 memo_key_hash128(
-    const CanonicalHash128& chi_hash,
-    std::span<const std::uint32_t> input_ranks,
-    std::span<const std::uint32_t> output_ranks) {
-  chash::Accumulator h;
-  h.feed(chi_hash.lo);
-  h.feed(chi_hash.hi);
-  h.feed(input_ranks.size());
-  for (const std::uint32_t r : input_ranks) {
-    h.feed(r);
-  }
-  h.feed(output_ranks.size());
-  for (const std::uint32_t r : output_ranks) {
-    h.feed(r);
-  }
-  return h.digest();
-}
-
-const GlobalMemoKey& LazyMemoKey::get() const {
-  if (key_ == nullptr) {
-    const auto start = std::chrono::steady_clock::now();
-    key_ = std::make_shared<const GlobalMemoKey>(
-        make_memo_key(*space_, chi_));
-    const auto end = std::chrono::steady_clock::now();
-    g_key_builds.fetch_add(1, std::memory_order_relaxed);
-    g_key_build_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count(),
-        std::memory_order_relaxed);
-    // MATERIALIZED is a terminal state: drop the manager handle so the
-    // key is plain data from here on (and the chi DAG is unpinned).
-    chi_ = Bdd();
-    space_.reset();
-  }
-  return *key_;
-}
-
-std::shared_ptr<const GlobalMemoKey> LazyMemoKey::shared_key() const {
-  (void)get();
-  return key_;
-}
-
-MemoKeyHandle make_memo_handle(std::shared_ptr<const MemoSpace> space,
-                               const Bdd& chi) {
-  BddManager& mgr = *chi.manager();
-  const CanonicalHash128 chi_hash =
-      mgr.canonical_hash(chi, space->rank_of, space->token);
-  return std::make_shared<LazyMemoKey>(
-      memo_key_hash128(chi_hash, space->input_ranks, space->output_ranks),
-      chi, std::move(space));
-}
-
 MemoKeyBuildStats memo_key_build_stats() noexcept {
   return MemoKeyBuildStats{g_key_builds.load(std::memory_order_relaxed),
                            g_key_build_ns.load(std::memory_order_relaxed)};
-}
-
-void reset_memo_key_build_stats() noexcept {
-  g_key_builds.store(0, std::memory_order_relaxed);
-  g_key_build_ns.store(0, std::memory_order_relaxed);
 }
 
 PortableSolution make_portable_solution(const MemoSpace& space,

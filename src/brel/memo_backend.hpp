@@ -16,15 +16,14 @@
 ///     (memo_snapshot.hpp) or sent to a peer server (memo_exchange.hpp).
 ///
 /// What may cross a process boundary: every memo entry, because every
-/// entry is a served answer — the root result of a drained solve
-/// (publish_root_result in search.hpp).  A record carries a mark shape:
+/// entry is a served answer — the root result of a drained solve (the
+/// engines' publish-once, search.hpp).  A record carries a mark shape:
 /// `.entry root` for a run's root answer, or `.entry natural depth=N`,
 /// the shape older releases also wrote for naturally drained subtrees.
 /// Both shapes serve a root probe; the memo stores the mark as opaque
 /// data and writes it back unchanged, so a restored memo exports
 /// exactly what was saved.  The codec rejects every other shape.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -34,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "bdd/bdd_hash.hpp"
 #include "bdd/bdd_transfer.hpp"
 #include "relation/relation.hpp"
 
@@ -52,10 +50,6 @@ struct MemoSpace {
   std::vector<std::uint32_t> rank_of;
   std::vector<std::uint32_t> input_ranks;   ///< ranks of inputs, in order
   std::vector<std::uint32_t> output_ranks;  ///< ranks of outputs, in order
-  /// Process-unique name of this rank map, handed to
-  /// BddManager::canonical_hash so its per-node cache knows when the
-  /// map changed (make_memo_space allocates; 0 = "uncacheable").
-  std::uint64_t token = 0;
 
   static constexpr std::uint32_t kUnranked = 0xFFFFFFFFu;
 };
@@ -80,8 +74,8 @@ class GlobalMemoKey {
   GlobalMemoKey() : words_{0, 0, 0, 0} {}
   /// Pack a rank-form serialized chi (node vars are RANKS) and the rank
   /// lists.  Throws std::invalid_argument when the node list is not in
-  /// child-before-parent order or the root id is out of range — the
-  /// arena walkers (hash128, chi()) index by id and never re-validate.
+  /// child-before-parent order or the root id is out of range: a key is
+  /// always the image of a serialize_bdd walk.
   GlobalMemoKey(const SerializedBdd& chi,
                 std::span<const std::uint32_t> input_ranks,
                 std::span<const std::uint32_t> output_ranks);
@@ -119,115 +113,42 @@ class GlobalMemoKey {
 
   [[nodiscard]] bool operator==(const GlobalMemoKey&) const = default;
 
-  friend std::uint64_t memo_key_hash(const GlobalMemoKey& key);
-  friend CanonicalHash128 memo_key_hash128(const GlobalMemoKey& key);
-
  private:
   std::vector<std::uint32_t> words_;
 };
 
 /// Canonical key for a subrelation with characteristic `chi` living in
-/// `space`.  Throws std::logic_error if chi depends on a variable
-/// outside the space (a subrelation never does).
+/// `space`: one serialize_bdd walk plus the rank remap, timed into
+/// memo_key_build_stats().  The engines build their root key once,
+/// before the root probe, and publish under the same key.  Throws
+/// std::logic_error if chi depends on a variable outside the space (a
+/// subrelation never does).
 [[nodiscard]] GlobalMemoKey make_memo_key(const MemoSpace& space,
                                           const Bdd& chi);
 
-/// 64-bit FNV-1a content hash of a canonical key.  One hash feeds three
-/// consumers that must agree on identity ACROSS PROCESSES AND VERSIONS:
-/// the snapshot entry checksum (memo_entry_checksum embeds it in
-/// `check=` fields on disk), the peer-exchange consistent-hash ring
-/// (memo_exchange.hpp — a key owned by peer P hashes identically in
-/// every process), and the MEMO_PULL/PUSH frames.  Its feed sequence is
-/// therefore frozen; the in-memory store keys on memo_key_hash128
-/// instead, which needs no serialized form.
+/// make_memo_key under a shared space — the spelling
+/// brelbench/src/trace.cpp probes the memo with.
+[[nodiscard]] GlobalMemoKey make_memo_handle(
+    const std::shared_ptr<const MemoSpace>& space, const Bdd& chi);
+
+/// 64-bit FNV-1a content hash of a canonical key.  One hash serves every
+/// consumer that needs a key's identity, in memory and ACROSS PROCESSES
+/// AND VERSIONS alike: the in-memory memo's shard choice and map hasher
+/// (global_memo.hpp), the snapshot entry checksum (memo_entry_checksum
+/// embeds it in `check=` fields on disk), the peer-exchange
+/// consistent-hash ring (memo_exchange.hpp — a key owned by peer P
+/// hashes identically in every process), and the MEMO_PULL/PUSH frames.
+/// Its feed sequence is therefore frozen.
 [[nodiscard]] std::uint64_t memo_key_hash(const GlobalMemoKey& key);
 
-/// 128-bit canonical hash of a whole key: the structural hash of chi
-/// (bdd_hash.hpp) folded with the rank lists.  The in-memory shard map,
-/// the shard mix, and the two-phase probe key on this value.  Two ways
-/// to compute it, guaranteed to agree:
-///   - from a live manager:  memo_key_hash128(canonical_hash(chi), space)
-///     — O(new nodes), nothing serialized;
-///   - from a materialized key: memo_key_hash128(key) — the arena walk.
-[[nodiscard]] CanonicalHash128 memo_key_hash128(const GlobalMemoKey& key);
-[[nodiscard]] CanonicalHash128 memo_key_hash128(
-    const CanonicalHash128& chi_hash,
-    std::span<const std::uint32_t> input_ranks,
-    std::span<const std::uint32_t> output_ranks);
-
-/// A canonical key in one of two states: HASHED (the 128-bit identity
-/// plus the live chi handle needed to materialize later) or MATERIALIZED
-/// (the arena form built, the chi handle dropped — pure plain data from
-/// then on).  The engines probe the root with one, so the common case —
-/// a probe miss — never serializes; get() materializes exactly once, on
-/// the first candidate hit to verify or on the end-of-run publish.
-///
-/// Thread contract: materialization touches chi's manager, so get() on a
-/// HASHED handle may only run on that manager's owning thread (the
-/// parallel coordinator builds, probes and publishes its root handle on
-/// the thread owning the root manager); once materialized, the handle is immutable plain data and concurrent
-/// get()/shared_key() are safe.  `verified_seq` is the only field
-/// written after sharing and is a relaxed atomic (a stale read only
-/// costs a redundant verification).
-class LazyMemoKey {
- public:
-  /// HASHED state.  `chi` pins the characteristic until materialization.
-  LazyMemoKey(const CanonicalHash128& key_hash, Bdd chi,
-              std::shared_ptr<const MemoSpace> space)
-      : hash(key_hash), chi_(std::move(chi)), space_(std::move(space)) {}
-  /// MATERIALIZED from the start (hash computed via the arena walk).
-  explicit LazyMemoKey(GlobalMemoKey key)
-      : hash(memo_key_hash128(key)),
-        key_(std::make_shared<const GlobalMemoKey>(std::move(key))) {}
-  /// MATERIALIZED with an EXPLICIT hash.  This is the collision
-  /// injection seam for tests: a genuine 128-bit collision cannot be
-  /// constructed, so the forced-collision test lies about the hash here
-  /// and asserts the verify step still disambiguates.  Production code
-  /// never calls this with a hash that is not memo_key_hash128(key).
-  LazyMemoKey(const CanonicalHash128& key_hash, GlobalMemoKey key)
-      : hash(key_hash),
-        key_(std::make_shared<const GlobalMemoKey>(std::move(key))) {}
-
-  [[nodiscard]] bool materialized() const noexcept {
-    return key_ != nullptr;
-  }
-  /// The materialized key, building it on first call (see the thread
-  /// contract above).
-  [[nodiscard]] const GlobalMemoKey& get() const;
-  /// Shared ownership of the materialized key (materializes too) — what
-  /// GlobalMemo entries store, so insert never copies the arena.
-  [[nodiscard]] std::shared_ptr<const GlobalMemoKey> shared_key() const;
-
-  const CanonicalHash128 hash;
-  /// created_seq of the store entry this handle last verified equal
-  /// against (0 = never) — lets a re-publish skip the key compare.
-  mutable std::atomic<std::uint64_t> verified_seq{0};
-
- private:
-  mutable std::shared_ptr<const GlobalMemoKey> key_;
-  mutable Bdd chi_;
-  mutable std::shared_ptr<const MemoSpace> space_;
-};
-
-/// How the engines refer to a canonical key: shared so one handle (and
-/// its one materialization) serves the root probe and the publish alike.
-using MemoKeyHandle = std::shared_ptr<LazyMemoKey>;
-
-/// HASHED handle for the subrelation with characteristic `chi` in
-/// `space` — the probe-path constructor: one canonical_hash walk
-/// (amortized O(new nodes)), nothing serialized.
-[[nodiscard]] MemoKeyHandle make_memo_handle(
-    std::shared_ptr<const MemoSpace> space, const Bdd& chi);
-
-/// Process-wide materialization accounting: how many HASHED handles were
-/// ever materialized and the wall time spent doing it.  Feeds the
-/// `key_build_ms` bench field and the never-serializes-on-miss test.
+/// Process-wide key-build accounting: how many canonical keys
+/// make_memo_key built and the wall time spent doing it.  Feeds the
+/// `key_build_ms` bench field.
 struct MemoKeyBuildStats {
   std::uint64_t builds = 0;
   std::uint64_t ns = 0;
 };
 [[nodiscard]] MemoKeyBuildStats memo_key_build_stats() noexcept;
-void reset_memo_key_build_stats() noexcept;
 
 /// A manager-independent multi-output solution: one rank-mapped
 /// serialized BDD per output, over the *input* ranks of its space.

@@ -223,8 +223,7 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
                     std::nullopt,
                     nullptr};
   if (options.use_symmetry) {
-    ctx.symmetries.emplace(mgr, root.outputs(),
-                           options.symmetry_second_order);
+    ctx.symmetries.emplace(mgr, root.outputs());
   }
   // The rank tables are per-worker because they reference this worker's
   // manager variables; all workers mirror the coordinator's variable
@@ -371,16 +370,15 @@ SolveResult ParallelEngine::run() {
   // canonical key before paying for managers and threads.  A hit is the
   // memoized answer of an identical earlier solve — return it directly.
   // The key outlives the probe: a drained run publishes under it.
-  std::shared_ptr<const MemoSpace> memo_space;
-  MemoKeyHandle root_key;
+  std::optional<GlobalMemoKey> root_key;
   if (options_.global_memo != nullptr) {
-    memo_space = std::make_shared<const MemoSpace>(make_memo_space(root_));
-    root_key = make_memo_handle(memo_space, root_.characteristic());
+    const MemoSpace memo_space = make_memo_space(root_);
+    root_key = make_memo_key(memo_space, root_.characteristic());
     if (const std::optional<PortableSolution> entry =
-            options_.global_memo->lookup(root_key)) {
+            options_.global_memo->lookup(*root_key)) {
       SolveResult result;
       result.function =
-          import_portable_solution(root_mgr, *memo_space, *entry);
+          import_portable_solution(root_mgr, memo_space, *entry);
       result.cost = entry->cost;
       result.stats.memo_hits = 1;
       result.stats.solutions_seen = 1;
@@ -495,11 +493,9 @@ SolveResult ParallelEngine::run() {
   // publishes, and it publishes exactly what it returns: the winner's
   // rank form (set for every non-empty incumbent, and comparable here
   // because every worker mirrors the coordinator's variable layout).
-  // The root handle materializes on this thread, which owns the root
-  // manager.
   if (options_.global_memo != nullptr && !result.stats.budget_exhausted &&
       result.stats.fifo_overflow == 0) {
-    options_.global_memo->publish(root_key, *outcomes[winner].best_portable);
+    options_.global_memo->publish(*root_key, *outcomes[winner].best_portable);
   }
 
   // Transfer the winning solution back into the caller's manager.

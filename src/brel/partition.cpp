@@ -27,18 +27,16 @@ SolveResult solve_partitioned(const BooleanRelation& r,
   // decides anything — clean blocks are served (or not) by their own
   // content-keyed root probes — it only explains the reuse in the stats.
   Bdd delta;
-  std::shared_ptr<const MemoSpace> memo_space;
-  MemoKeyHandle root_key;
+  std::optional<GlobalMemoKey> root_key;
   if (options.delta_registry != nullptr && options.global_memo != nullptr) {
-    memo_space = std::make_shared<const MemoSpace>(make_memo_space(r));
-    // Lazy handle: the overlay probe goes through the rank lists, so a
-    // cold run (no remembered base) builds neither a key nor a hash walk
-    // beyond the O(new nodes) canonical hash.
-    root_key = make_memo_handle(memo_space, r.characteristic());
+    const MemoSpace memo_space = make_memo_space(r);
+    // The canonical key is built once, here, and remembered as the next
+    // base at the end of a drained run.
+    root_key = make_memo_key(memo_space, r.characteristic());
     if (const SerializedBdd* base = options.delta_registry->find_base(
-            memo_space->input_ranks, memo_space->output_ranks)) {
+            memo_space.input_ranks, memo_space.output_ranks)) {
       delta =
-          r.characteristic() ^ import_canonical_bdd(mgr, *memo_space, *base);
+          r.characteristic() ^ import_canonical_bdd(mgr, memo_space, *base);
     }
   }
 
@@ -93,9 +91,9 @@ SolveResult solve_partitioned(const BooleanRelation& r,
   // This run becomes the next base for its spaces — same drain condition
   // as the engines' root publish (an interrupted run must not anchor
   // future diffs to a composition of degraded block results).
-  if (root_key != nullptr && !stats.budget_exhausted &&
+  if (root_key.has_value() && !stats.budget_exhausted &&
       stats.fifo_overflow == 0) {
-    options.delta_registry->remember(root_key->get());
+    options.delta_registry->remember(*root_key);
   }
 
   stats.runtime_seconds =

@@ -311,8 +311,7 @@ SearchEngine::SearchEngine(const BooleanRelation& root,
     throw std::invalid_argument("BrelSolver: relation is not well defined");
   }
   if (options_.use_symmetry) {
-    ctx_.symmetries.emplace(ctx_.mgr, root_.outputs(),
-                            options_.symmetry_second_order);
+    ctx_.symmetries.emplace(ctx_.mgr, root_.outputs());
   }
   if (cache_ != nullptr) {
     // Enforce the comparability contract before the first probe: a cache
@@ -323,9 +322,9 @@ SearchEngine::SearchEngine(const BooleanRelation& root,
   // The rank space is built unconditionally: besides keying the memo it
   // anchors the canonical equal-cost tie order, which must be identical
   // between memo-less and memo-backed runs of the same relation.  No
-  // KEY (and no hash) is ever built on memo-less runs, though — the rank
-  // tables are the only canonical-form work they pay for.
-  memo_space_ = std::make_shared<const MemoSpace>(make_memo_space(root_));
+  // KEY is ever built on memo-less runs, though — the rank tables are
+  // the only canonical-form work they pay for.
+  memo_space_ = std::make_unique<const MemoSpace>(make_memo_space(root_));
   ctx_.tie_space = memo_space_.get();
   if (options_.global_memo != nullptr) {
     options_.global_memo->bind(
@@ -361,17 +360,17 @@ SolveResult SearchEngine::run() {
     root_item.ancestors.push_back(root_.characteristic().raw_edge());
   }
   GlobalMemo* const memo = options_.global_memo.get();
-  MemoKeyHandle root_key;
+  std::optional<GlobalMemoKey> root_key;
   if (memo != nullptr) {
     // Root probe of the cross-solve memo, the only memo traffic of a
     // run: a warm re-solve of an identical relation (same canonical
     // serialized form and spaces) returns the memoized answer
-    // immediately — first-run quality at zero exploration.  The probe is
-    // hash-only, so a miss serializes nothing; the handle is kept for the
-    // end-of-run publish.
-    root_key = make_memo_handle(memo_space_, root_.characteristic());
+    // immediately — first-run quality at zero exploration.  The root's
+    // canonical key is built once, here; a drained run publishes under
+    // the same key.
+    root_key = make_memo_key(*memo_space_, root_.characteristic());
     if (const std::optional<PortableSolution> entry =
-            memo->lookup(root_key)) {
+            memo->lookup(*root_key)) {
       ++ctx_.stats.memo_hits;
       ++ctx_.stats.solutions_seen;
       SolveResult result;
@@ -447,7 +446,7 @@ SolveResult SearchEngine::run() {
   if (memo != nullptr && !ctx_.stats.budget_exhausted &&
       ctx_.stats.fifo_overflow == 0) {
     memo->publish(
-        root_key,
+        *root_key,
         ctx_.best_portable.has_value()
             ? *ctx_.best_portable
             : make_portable_solution(*memo_space_, ctx_.best,

@@ -170,9 +170,8 @@ class SearchEngine {
   const BooleanRelation root_;
   const SolverOptions options_;
   std::shared_ptr<SubproblemCache> cache_;  ///< keeps the shared cache alive
-  /// Rank tables for this root — shared because HASHED key handles hold
-  /// a reference until they materialize.
-  std::shared_ptr<const MemoSpace> memo_space_;
+  /// Rank tables for this root (heap-held: ctx_.tie_space points at it).
+  std::unique_ptr<const MemoSpace> memo_space_;
   SearchContext ctx_;
   std::unique_ptr<Frontier> frontier_;
 };

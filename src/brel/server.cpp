@@ -259,9 +259,6 @@ struct Server::Impl {
   std::atomic<std::uint64_t> connections_open{0};
   std::atomic<std::uint64_t> memo_hits_total{0};
   std::atomic<std::uint64_t> reorders_total{0};
-  std::atomic<std::uint64_t> delta_runs{0};
-  std::atomic<std::uint64_t> delta_reused{0};
-  std::atomic<std::uint64_t> delta_researched{0};
   std::atomic<std::uint64_t> peer_pulls_served{0};
   std::atomic<std::uint64_t> peer_pushes_received{0};
 
@@ -331,13 +328,6 @@ struct Server::Impl {
     memo_hits_total.fetch_add(result.stats.memo_hits,
                               std::memory_order_relaxed);
     reorders_total.fetch_add(result.stats.reorders, std::memory_order_relaxed);
-    if (result.stats.delta_active) {
-      delta_runs.fetch_add(1, std::memory_order_relaxed);
-    }
-    delta_reused.fetch_add(result.stats.delta_reused,
-                           std::memory_order_relaxed);
-    delta_researched.fetch_add(result.stats.delta_researched,
-                               std::memory_order_relaxed);
   }
 
   [[nodiscard]] ServerMetrics gather() const {
@@ -356,9 +346,6 @@ struct Server::Impl {
     m.shedding = shedding.load(std::memory_order_relaxed);
     m.memo_hits_total = memo_hits_total.load(std::memory_order_relaxed);
     m.reorders = reorders_total.load(std::memory_order_relaxed);
-    m.delta_runs = delta_runs.load(std::memory_order_relaxed);
-    m.delta_reused = delta_reused.load(std::memory_order_relaxed);
-    m.delta_researched = delta_researched.load(std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(latency_mutex);
       m.latency_samples = latency_count;
@@ -456,9 +443,6 @@ struct Server::Impl {
        << "peer_pulls_served " << m.peer_pulls_served << '\n'
        << "peer_pushes_received " << m.peer_pushes_received << '\n'
        << "reorders " << m.reorders << '\n'
-       << "delta_runs " << m.delta_runs << '\n'
-       << "delta_reused " << m.delta_reused << '\n'
-       << "delta_researched " << m.delta_researched << '\n'
        << "lock_wait_memo_ns "
        << LockStatsRegistry::instance().wait_ns(lock_names::kMemo) << '\n'
        << "lock_wait_pool_ns "

@@ -153,9 +153,6 @@ struct ServerMetrics {
   // Aggregates folded from answered PoolResults.
   std::uint64_t memo_hits_total = 0;
   std::uint64_t reorders = 0;
-  std::uint64_t delta_runs = 0;
-  std::uint64_t delta_reused = 0;
-  std::uint64_t delta_researched = 0;
   // Latency over the ring (microseconds, frame-read to reply-written).
   std::uint64_t latency_samples = 0;  ///< answered requests ever ringed
   std::uint64_t latency_p50_us = 0;

@@ -12,9 +12,12 @@
 /// least one compatible solution exists whenever the exploration budget
 /// runs out (Sec. 7.6).
 ///
-/// `BrelSolver` is a thin facade over the engine in search.hpp — it holds
-/// options and constructs one `SearchEngine` per solve() call.  See
-/// DESIGN.md for the layering.
+/// `BrelSolver` is a thin facade over the engines — it holds options and
+/// dispatches each solve() call to the partitioned path (partition.hpp)
+/// when `partition_inputs` applies, to a `ParallelEngine`
+/// (parallel_engine.hpp) when more than one worker resolves, and to a
+/// serial `SearchEngine` (search.hpp) otherwise.  See DESIGN.md for the
+/// layering.
 
 #include <chrono>
 #include <cstddef>
@@ -98,9 +101,6 @@ struct SolverOptions {
   /// Symmetry checks only run while the split depth is below this bound
   /// ("only explored during the initial recursions").
   std::size_t symmetry_depth = 3;
-
-  /// Also detect complemented swaps (second-order nonskew nonequivalence).
-  bool symmetry_second_order = true;
 
   /// A caller-provided memoizing subproblem dedup, keyed by canonical
   /// characteristic-BDD edge (see subproblem_cache.hpp) and shared

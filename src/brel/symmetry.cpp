@@ -3,11 +3,8 @@
 namespace brel {
 
 SymmetryCache::SymmetryCache(BddManager& mgr,
-                             std::vector<std::uint32_t> outputs,
-                             bool enable_second_order)
-    : mgr_(&mgr),
-      outputs_(std::move(outputs)),
-      enable_second_order_(enable_second_order) {}
+                             std::vector<std::uint32_t> outputs)
+    : mgr_(&mgr), outputs_(std::move(outputs)) {}
 
 bool SymmetryCache::seen_before_or_insert(const Bdd& chi) {
   if (cache_.count(chi.raw_edge()) != 0) {
@@ -39,39 +36,33 @@ bool SymmetryCache::seen_before_or_insert(const Bdd& chi) {
     for (std::size_t j = i + 1; j < outputs_.size(); ++j) {
       const std::uint32_t yi = outputs_[i];
       const std::uint32_t yj = outputs_[j];
-      {
-        std::vector<Bdd> swap = identity;
-        std::swap(swap[yi], swap[yj]);
-        if (probe(swap)) {
-          return true;
+      std::vector<Bdd> swap = identity;
+      std::swap(swap[yi], swap[yj]);
+      if (probe(swap)) {
+        return true;
+      }
+      // (d): the swap additionally complements one other output.
+      for (const std::uint32_t yk : outputs_) {
+        if (yk == yi || yk == yj) {
+          continue;
         }
-        if (enable_second_order_) {
-          // (d): the swap additionally complements one other output.
-          for (const std::uint32_t yk : outputs_) {
-            if (yk == yi || yk == yj) {
-              continue;
-            }
-            std::vector<Bdd> conditional = swap;
-            conditional[yk] = !identity[yk];
-            if (probe(conditional)) {
-              return true;
-            }
-          }
+        std::vector<Bdd> conditional = swap;
+        conditional[yk] = !identity[yk];
+        if (probe(conditional)) {
+          return true;
         }
       }
-      if (enable_second_order_) {
-        std::vector<Bdd> skew = identity;
-        skew[yi] = !identity[yj];
-        skew[yj] = !identity[yi];
-        if (probe(skew)) {
-          return true;
-        }
-        std::vector<Bdd> pair = identity;
-        pair[yi] = !identity[yi];
-        pair[yj] = !identity[yj];
-        if (probe(pair)) {
-          return true;
-        }
+      std::vector<Bdd> skew = identity;
+      skew[yi] = !identity[yj];
+      skew[yj] = !identity[yi];
+      if (probe(skew)) {
+        return true;
+      }
+      std::vector<Bdd> pair = identity;
+      pair[yi] = !identity[yi];
+      pair[yj] = !identity[yj];
+      if (probe(pair)) {
+        return true;
       }
     }
   }

@@ -25,8 +25,7 @@ namespace brel {
 class SymmetryCache {
  public:
   /// `outputs` are the manager variable indices of the relation's outputs.
-  SymmetryCache(BddManager& mgr, std::vector<std::uint32_t> outputs,
-                bool enable_second_order = true);
+  SymmetryCache(BddManager& mgr, std::vector<std::uint32_t> outputs);
 
   /// True iff a relation symmetric to `chi` (including `chi` itself) was
   /// inserted before.  Otherwise inserts `chi` and returns false.
@@ -38,7 +37,6 @@ class SymmetryCache {
  private:
   BddManager* mgr_;
   std::vector<std::uint32_t> outputs_;
-  bool enable_second_order_;
   std::unordered_set<detail::Edge> cache_;
   std::vector<Bdd> keep_alive_;  ///< pins cached edges across GCs
   std::uint64_t hits_ = 0;

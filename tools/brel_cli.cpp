@@ -406,18 +406,10 @@ int run_serve(const CliOptions& cli) {
   }
 
   std::size_t total_reorders = 0;
-  std::size_t delta_runs = 0;
-  std::size_t delta_reused = 0;
-  std::size_t delta_researched = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     try {
       const brel::PoolResult result = futures[i].get();
       total_reorders += result.stats.reorders;
-      if (result.stats.delta_active) {
-        ++delta_runs;
-        delta_reused += result.stats.delta_reused;
-        delta_researched += result.stats.delta_researched;
-      }
       // Independent check in a fresh manager: re-parse the request and
       // materialize the portable solution against it.
       brel::BddManager check_mgr{0};
@@ -433,18 +425,11 @@ int run_serve(const CliOptions& cli) {
       const bool ok = relation.is_compatible(f);
       // --quiet means "covers only", exactly like single-solve mode.
       if (!cli.quiet) {
-        char delta_item[96] = "";
-        if (result.stats.delta_active) {
-          std::snprintf(delta_item, sizeof(delta_item),
-                        " delta_reused=%zu delta_researched=%zu",
-                        result.stats.delta_reused,
-                        result.stats.delta_researched);
-        }
         std::printf(
-            "%s: cost=%.0f explored=%zu memo_hits=%zu%s worker=%zu%s\n",
+            "%s: cost=%.0f explored=%zu memo_hits=%zu worker=%zu%s\n",
             names[i].c_str(), result.cost,
             result.stats.relations_explored, result.stats.memo_hits,
-            delta_item, result.worker_id, ok ? "" : " INCOMPATIBLE");
+            result.worker_id, ok ? "" : " INCOMPATIBLE");
       }
       if (!ok) {
         ++failures;
@@ -476,15 +461,6 @@ int run_serve(const CliOptions& cli) {
           pool.memo()->size(), pool.memo()->shard_count(), hits, probes,
           probes == 0 ? 0.0 : 100.0 * static_cast<double>(hits) /
                                   static_cast<double>(probes));
-    }
-    if (delta_runs > 0) {
-      const std::size_t classified = delta_reused + delta_researched;
-      std::printf(
-          " | delta: %zu run(s), reused=%zu re-searched=%zu (%.1f%% reuse)",
-          delta_runs, delta_reused, delta_researched,
-          classified == 0 ? 0.0
-                          : 100.0 * static_cast<double>(delta_reused) /
-                                static_cast<double>(classified));
     }
     if (total_reorders > 0) {
       std::printf(" | reorders: %zu", total_reorders);

@@ -22,9 +22,9 @@ regardless of host: they must not depend on the machine.
 The memo-key fields ride the same rules: `memo_key.*_ns` (bench_bdd_ops)
 and `key_build_ms` / `*_key_build_ms` (bench_solver_pool) are
 lower-is-better timings via their suffixes, while
-`memo_key.hash_probe_allocs` is machine-independent and must stay
-exactly 0 — a hash-only probe that allocates means the lazy-key miss
-path regressed into materializing.  Likewise every `traversal.*_allocs`
+`memo_key.probe_allocs` is machine-independent and must stay exactly 0 —
+a memo probe through a held key that allocates means the miss path
+regressed into copying or building a key.  Likewise every `traversal.*_allocs`
 field of bench_bdd_ops (scratch allocations per size / support /
 sat_count / serialize_bdd call) must stay exactly 0: a warm traversal
 that allocates means it stopped reusing the manager's scratch.  The
@@ -47,7 +47,7 @@ EXACT_ZERO = (
     "protocol_errors",
     "warm_explored",
     "incompatible",
-    "hash_probe_allocs",
+    "probe_allocs",
     "isop_tt_mismatches",
 )
 
