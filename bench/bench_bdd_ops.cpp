@@ -29,13 +29,17 @@
 #include <random>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "bench_util.hpp"
 #include "benchgen/paper_relations.hpp"
+#include "benchgen/relation_suite.hpp"
 #include "brel/global_memo.hpp"
+#include "brel/quick_solver.hpp"
+#include "relation/relation_table.hpp"
 
 // [memo-key-begin]
 // Process-wide allocation counter, fed by replacing the global
@@ -964,6 +968,181 @@ std::uint64_t report_minimize_kernels(bench::JsonWriter* json) {
 }
 // [minimize-kernels-end]
 
+// [relation-kernels-begin]
+/// A relation whose every output is pinned to a two-literal AND of the
+/// inputs except on a two-literal don't-care region, where it may
+/// instead differ from the next output: χ = ∧_i (y_i ≡ a_i) ∨ (d_i ∧
+/// (y_i ⊕ y_{i+1})).  Well defined (y = a(x) fits every x), with non-cube
+/// flexibility, and a small χ BDD — the regime of structured logic.
+BooleanRelation compact_relation(BddManager& mgr, std::uint32_t n,
+                                 std::uint32_t m, std::mt19937& rng) {
+  const std::uint32_t first = mgr.add_vars(n + m);
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    inputs.push_back(first + i);
+  }
+  for (std::uint32_t i = 0; i < m; ++i) {
+    outputs.push_back(first + n + i);
+  }
+  const auto pair = [&] {
+    return mgr.literal(inputs[rng() % n], rng() % 2 == 0) &
+           mgr.literal(inputs[rng() % n], rng() % 2 == 0);
+  };
+  Bdd chi = mgr.one();
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const Bdd y = mgr.var(outputs[i]);
+    const Bdd next = mgr.var(outputs[(i + 1) % m]);
+    const Bdd pinned = pair();
+    const Bdd free = pair();
+    chi = chi & (y.iff(pinned) | (free & (y ^ next)));
+  }
+  return BooleanRelation(mgr, inputs, outputs, chi);
+}
+
+/// The relation-kernel ladder behind RelationTable::kMaxVars.  For each
+/// total width |X| + |Y| = 8..20, two seeded families of relations:
+///   dense:   suite-shaped (make_benchmark_relation: singleton, cube and
+///            complement-pair images over random input regions),
+///   compact: compact_relation (small χ BDDs),
+/// each run through one search node's relation work — the MISF
+/// candidate, a quick solve and the candidate's conflict inputs — cold
+/// (computed table emptied before every round), on the relation tables
+/// (a fresh load included) and on BDDs.  Every relation is also cross-
+/// checked — both paths must return the same edges — and the mismatches
+/// are returned.
+std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
+  constexpr std::uint32_t kWidths[] = {8, 10, 12, 14, 16, 18, 20};
+  constexpr std::size_t kPool = 4;
+  constexpr int kRounds = 3;
+  static_assert(kWidths[std::size(kWidths) - 1] <= RelationTable::kMaxVars,
+                "every ladder width must take the table path");
+  std::uint64_t mismatches = 0;
+  std::uint64_t sink = 0;
+  const auto table_step = [&sink](const BooleanRelation& r) {
+    RelationTable table;
+    if (!table.load(r)) {
+      std::fprintf(stderr, "relation ladder: a rung failed to load\n");
+      std::exit(1);
+    }
+    const MultiFunction misf = table.misf_candidate();
+    const MultiFunction quick = table.quick_solve();
+    const Bdd conflicts = *table.conflict_inputs(misf);
+    sink += conflicts.raw_edge() + quick.outputs[0].raw_edge();
+    return std::tuple{misf, quick, conflicts};
+  };
+  const auto bdd_step = [&sink](const BooleanRelation& r) {
+    BddManager& mgr = r.manager();
+    MultiFunction misf;
+    for (std::size_t i = 0; i < r.num_outputs(); ++i) {
+      misf.outputs.push_back(IsfMinimizer{}.minimize(r.project_output(i)));
+    }
+    const MultiFunction quick = quick_solve_bdd(r);
+    const Bdd conflicts = mgr.exists(r.incompatibilities(misf), r.outputs());
+    sink += conflicts.raw_edge() + quick.outputs[0].raw_edge();
+    return std::tuple{misf, quick, conflicts};
+  };
+  struct Rung {
+    double table_ns = 0.0;
+    double bdd_ns = 0.0;
+  };
+  const auto measure = [&](BddManager& mgr,
+                           const std::vector<BooleanRelation>& pool) {
+    for (const BooleanRelation& r : pool) {
+      mgr.garbage_collect();  // neither path may answer from the other's
+      const auto [misf, quick, conflicts] = table_step(r);
+      mgr.garbage_collect();
+      const auto [misf_ref, quick_ref, conflicts_ref] = bdd_step(r);
+      for (std::size_t i = 0; i < r.num_outputs(); ++i) {
+        mismatches += misf.outputs[i] == misf_ref.outputs[i] ? 0 : 1;
+        mismatches += quick.outputs[i] == quick_ref.outputs[i] ? 0 : 1;
+      }
+      mismatches += conflicts == conflicts_ref ? 0 : 1;
+    }
+    Rung rung;
+    rung.table_ns = time_kernel_rounds(mgr, true, pool.size(), kRounds, [&] {
+                      for (const BooleanRelation& r : pool) {
+                        (void)table_step(r);
+                      }
+                    }).ns;
+    rung.bdd_ns = time_kernel_rounds(mgr, true, pool.size(), kRounds, [&] {
+                    for (const BooleanRelation& r : pool) {
+                      (void)bdd_step(r);
+                    }
+                  }).ns;
+    return rung;
+  };
+  if (json != nullptr) {
+    std::printf(
+        "\nrelation-kernel ladder (%zu relations per family and width; one "
+        "node's MISF candidate + quick solve + conflict inputs, cold us/op):\n"
+        "          ---------- dense ----------   --------- compact ---------\n"
+        "  width  shape   table     bdd   ratio     table     bdd   ratio\n",
+        kPool);
+    json->begin_array("ladder");
+  }
+  for (const std::uint32_t width : kWidths) {
+    const std::uint32_t m = std::min(8u, width / 2);
+    const std::uint32_t n = width - m;
+    BddManager mgr{0};
+    std::mt19937 rng{900 + width};
+    std::vector<BooleanRelation> dense;
+    std::vector<BooleanRelation> compact;
+    for (std::size_t i = 0; i < kPool; ++i) {
+      std::vector<std::uint32_t> inputs;
+      std::vector<std::uint32_t> outputs;
+      const RelationBenchmark shape{"ladder", n, m,
+                                    static_cast<std::uint32_t>(rng())};
+      dense.push_back(make_benchmark_relation(mgr, shape, inputs, outputs));
+      compact.push_back(compact_relation(mgr, n, m, rng));
+    }
+    Rung d = measure(mgr, dense);
+    Rung c = measure(mgr, compact);
+    const std::string at =
+        "relation_kernels.ladder." + std::to_string(width) + ".";
+    d.table_ns = pass_median(at + "dense_table_ns", d.table_ns);
+    d.bdd_ns = pass_median(at + "dense_bdd_ns", d.bdd_ns);
+    c.table_ns = pass_median(at + "compact_table_ns", c.table_ns);
+    c.bdd_ns = pass_median(at + "compact_bdd_ns", c.bdd_ns);
+    if (json == nullptr) {
+      continue;
+    }
+    std::printf("  %5u %3ux%-2u %8.1f %8.1f %6.2fx  %8.1f %8.1f %6.2fx\n",
+                width, n, m, d.table_ns / 1e3, d.bdd_ns / 1e3,
+                d.bdd_ns / d.table_ns, c.table_ns / 1e3, c.bdd_ns / 1e3,
+                c.bdd_ns / c.table_ns);
+    json->begin_element();
+    json->field_int("width", width);
+    json->field_int("inputs", n);
+    json->field_int("outputs", m);
+    json->field_num("dense_table_ns", d.table_ns);
+    json->field_num("dense_bdd_ns", d.bdd_ns);
+    json->field_num("compact_table_ns", c.table_ns);
+    json->field_num("compact_bdd_ns", c.bdd_ns);
+    json->end_element();
+  }
+  if (json != nullptr) {
+    json->end_array();
+    std::printf("  relation_tt_mismatches %llu (must be 0)  (sink %llu)\n",
+                static_cast<unsigned long long>(mismatches),
+                static_cast<unsigned long long>(sink));
+  }
+  return mismatches;
+}
+
+/// The relation_kernels JSON object: the ladder and its mismatches.
+std::uint64_t report_relation_kernels(bench::JsonWriter* json) {
+  if (json == nullptr) {
+    return report_relation_ladder(json);
+  }
+  json->begin_object("relation_kernels");
+  const std::uint64_t mismatches = report_relation_ladder(json);
+  json->field_int("relation_tt_mismatches", mismatches);
+  json->end_object();
+  return mismatches;
+}
+// [relation-kernels-end]
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1005,6 +1184,7 @@ int main(int argc, char** argv) {
     report_memo_key(nullptr);
     report_traversal(nullptr);
     (void)report_minimize_kernels(nullptr);
+    (void)report_relation_kernels(nullptr);
   }
   // [reorder-begin]
   const bool reorder_ok = report_reorder(&json);
@@ -1021,6 +1201,10 @@ int main(int argc, char** argv) {
   // [minimize-kernels-begin]
   const std::uint64_t isop_tt_mismatches = report_minimize_kernels(&json);
   // [minimize-kernels-end]
+  // [relation-kernels-begin]
+  const std::uint64_t relation_tt_mismatches =
+      report_relation_kernels(&json);
+  // [relation-kernels-end]
   brel::bench::write_authoring_host(json);
   json.end_object();
 
@@ -1035,6 +1219,13 @@ int main(int argc, char** argv) {
                  "FAIL: %llu truth-table ISOP results differ from the BDD "
                  "recursion's edge\n",
                  static_cast<unsigned long long>(isop_tt_mismatches));
+    return 1;
+  }
+  if (relation_tt_mismatches != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu relation-table results differ from the BDD "
+                 "path's edge\n",
+                 static_cast<unsigned long long>(relation_tt_mismatches));
     return 1;
   }
   if (!reorder_ok) {

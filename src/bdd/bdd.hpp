@@ -309,6 +309,29 @@ class BddManager {
   /// (chosen from bench_bdd_ops's width ladder; DESIGN.md §2).
   static constexpr std::uint32_t kIsopTableVars = 16;
 
+  /// Truth tables over an explicit layout: the conversions the truth-
+  /// table ISOP and the relation kernels (relation/relation_table.hpp)
+  /// share; truth_table.hpp has the word format.  Table position p
+  /// stands for variable vars[p], and positions ascend in the order from
+  /// the deepest level: level(vars[p]) > level(vars[p + 1]).
+  /// valid_table_layout checks that, and at most kMaxTableVars positions
+  /// (a table over 32 is already 512 MiB: a wider layout is a bug).
+  [[nodiscard]] bool valid_table_layout(
+      std::span<const std::uint32_t> vars) const;
+  /// Writes f's table over the layout vars into dst
+  /// (tt::table_words(vars.size()) words).  Returns false, leaving dst
+  /// unspecified, when f depends on a variable outside the layout.
+  /// Throws std::invalid_argument on an invalid layout.
+  [[nodiscard]] bool table_of(const Bdd& f,
+                              std::span<const std::uint32_t> vars,
+                              std::uint64_t* dst);
+  /// The BDD of a table over the layout vars: by canonicity the same edge
+  /// as the function built any other way.  Throws std::invalid_argument
+  /// on an invalid layout or a one-word table that is not replicated.
+  [[nodiscard]] Bdd bdd_of_table(const std::uint64_t* table,
+                                 std::span<const std::uint32_t> vars);
+  static constexpr std::uint32_t kMaxTableVars = 32;
+
   /// Number of minterms of f over `num_vars_total` variables.  Exact while
   /// num_vars_total <= 52 (dyadic rationals representable in double).
   [[nodiscard]] double sat_count(const Bdd& f, std::uint32_t num_vars_total);
@@ -647,11 +670,18 @@ class BddManager {
   /// isop_table_width, on truth tables over `width` variables.
   [[nodiscard]] detail::Edge isop_table(detail::Edge l, detail::Edge u,
                                         std::uint32_t width);
-  /// Truth table of `e` over table positions 0..k-1 into dst.
-  void table_from_edge(detail::Edge e, std::uint32_t k, std::uint64_t* dst);
-  /// One-word table of `e`, whose support lies in positions 0..5.
-  [[nodiscard]] std::uint64_t word_from_edge(detail::Edge e);
-  /// The BDD of a table over positions 0..k-1.
+  // -- tables over a layout (bdd_isop.cpp) --
+  /// Make vars[0..width) the layout of the conversions below.
+  void bind_table_layout(const std::uint32_t* vars, std::uint32_t width);
+  /// Truth table of `e` over positions 0..k-1 of the bound layout into
+  /// dst; false when e depends on a variable outside them.
+  [[nodiscard]] bool table_from_edge(detail::Edge e, std::uint32_t k,
+                                     std::uint64_t* dst);
+  /// One-word table of `e` over positions 0..k-1 (k <= 6); clears
+  /// `inside` when e depends on a variable outside them.
+  [[nodiscard]] std::uint64_t word_from_edge(detail::Edge e, std::uint32_t k,
+                                             bool& inside);
+  /// The BDD of a table over positions 0..k-1 of the bound layout.
   [[nodiscard]] detail::Edge edge_from_table(const std::uint64_t* table,
                                              std::uint32_t k);
   [[nodiscard]] detail::Edge edge_from_word(std::uint64_t word,
@@ -772,21 +802,23 @@ class BddManager {
   std::vector<std::uint32_t> trav_words_;    ///< serialize_bdd node records
   // Truth-table ISOP scratch, grown to the widest table used so a warm
   // call allocates nothing: the operand, result and recursion tables,
-  // and the table layout (position -> variable, variable -> position;
-  // the latter is only meaningful for the current call's support).
+  // and the interval's layout (its support, deepest first).
   std::vector<std::uint64_t> isop_arena_;
   std::array<std::uint32_t, kIsopTableVars> isop_table_var_{};
-  std::vector<std::uint8_t> isop_table_pos_;
-  /// edge_from_word's memo, so a one-word sub-table that recurs in the
-  /// result is built once: direct-mapped word -> edge slots, valid while
-  /// their stamp equals isop_word_stamp_ (bumped per rebuilt result).
+  /// The bound table layout: position -> variable (the caller's array)
+  /// and variable -> position (meaningful only for the variables in it).
+  const std::uint32_t* table_var_ = nullptr;
+  std::vector<std::uint8_t> table_pos_;
+  /// edge_from_word's memo, so a one-word sub-table that recurs in a
+  /// rebuilt table is built once: direct-mapped word -> edge slots, valid
+  /// while their stamp equals table_word_stamp_ (bumped per layout bind).
   struct WordEdge {
     std::uint64_t word = 0;
     detail::Edge edge = 0;
     std::uint32_t stamp = 0;
   };
-  std::array<WordEdge, 256> isop_word_edges_{};
-  std::uint32_t isop_word_stamp_ = 0;
+  std::array<WordEdge, 256> table_word_edges_{};
+  std::uint32_t table_word_stamp_ = 0;
   /// Per-manager statistics — including the per-op cache counters bumped
   /// on kernel hot paths — are written without synchronization, which is
   /// sound because the whole manager is single-threaded (enforced in

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bdd/bdd.hpp"
+#include "bdd/truth_table.hpp"
 
 namespace brel {
 
@@ -156,27 +157,9 @@ Edge BddManager::isop_step(Edge l, Edge u, std::vector<Cube>* out) {
 // rebuilt BDD the same edge.
 // ---------------------------------------------------------------------------
 
+namespace tt {
+
 namespace {
-
-/// kVarMask[p]: the minterms (bit indices) where table position p is 1.
-constexpr std::uint64_t kVarMask[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-constexpr std::uint64_t kAllOnes = ~0ull;
-
-constexpr std::size_t table_words(std::uint32_t k) noexcept {
-  return k <= 6 ? 1 : std::size_t{1} << (k - 6);
-}
-
-/// Cofactors of a one-word table at position p, replicated over p.
-std::uint64_t word_cofactor0(std::uint64_t t, std::uint32_t p) noexcept {
-  const std::uint64_t half = t & ~kVarMask[p];
-  return half | (half << (1u << p));
-}
-std::uint64_t word_cofactor1(std::uint64_t t, std::uint32_t p) noexcept {
-  const std::uint64_t half = t & kVarMask[p];
-  return half | (half >> (1u << p));
-}
 
 /// ISOP function of one-word tables over positions 0..k-1 (k <= 6).
 std::uint64_t isop_word(std::uint64_t l, std::uint64_t u, std::uint32_t k) {
@@ -208,8 +191,8 @@ std::uint64_t isop_word(std::uint64_t l, std::uint64_t u, std::uint32_t k) {
   return (f_neg & ~kVarMask[p]) | (f_pos & kVarMask[p]) | f_dc;
 }
 
-/// ISOP function of tables over positions 0..k-1 into f.  `scratch`
-/// holds 3 * table_words(k) words for the sub-recursions.
+}  // namespace
+
 void isop_words(const std::uint64_t* l, const std::uint64_t* u,
                 std::uint64_t* f, std::uint32_t k, std::uint64_t* scratch) {
   if (k <= 6) {
@@ -264,7 +247,11 @@ void isop_words(const std::uint64_t* l, const std::uint64_t* u,
   }
 }
 
-}  // namespace
+}  // namespace tt
+
+using tt::kAllOnes;
+using tt::kVarMask;
+using tt::table_words;
 
 std::uint32_t BddManager::isop_table_width(Edge l, Edge u) {
   assert_owning_thread();  // the walk writes the traversal scratch
@@ -298,12 +285,6 @@ std::uint32_t BddManager::isop_table_width(Edge l, Edge u) {
     return level_of(a) > level_of(b);
   };
   std::sort(isop_table_var_.begin(), isop_table_var_.begin() + width, deeper);
-  if (isop_table_pos_.size() < num_vars_) {
-    isop_table_pos_.resize(num_vars_);
-  }
-  for (std::uint32_t p = 0; p < width; ++p) {
-    isop_table_pos_[isop_table_var_[p]] = static_cast<std::uint8_t>(p);
-  }
   return width;
 }
 
@@ -316,35 +297,104 @@ Edge BddManager::isop_table(Edge l, Edge u, std::uint32_t width) {
   std::uint64_t* const lower = isop_arena_.data();
   std::uint64_t* const upper = lower + n;
   std::uint64_t* const f = upper + n;
-  trav_map_.clear();  // word_from_edge's per-node memo
-  table_from_edge(l, width, lower);
-  table_from_edge(u, width, upper);
-  isop_words(lower, upper, f, width, f + n);
-  if (++isop_word_stamp_ == 0) {  // wrapped: forget every slot explicitly
-    isop_word_edges_.fill(WordEdge{});
-    isop_word_stamp_ = 1;
-  }
+  bind_table_layout(isop_table_var_.data(), width);
+  // The layout is the support: neither bound can fault.
+  (void)table_from_edge(l, width, lower);
+  (void)table_from_edge(u, width, upper);
+  tt::isop_words(lower, upper, f, width, f + n);
   return edge_from_table(f, width);
 }
 
-void BddManager::table_from_edge(Edge e, std::uint32_t k, std::uint64_t* dst) {
+// ---------------------------------------------------------------------------
+// Tables over an explicit layout
+//
+// The conversions behind isop_table and the public table_of/bdd_of_table.
+// The bound layout (table_var_, and table_pos_ for the variables in it)
+// stays valid until the next bind_table_layout.
+// ---------------------------------------------------------------------------
+
+bool BddManager::valid_table_layout(
+    std::span<const std::uint32_t> vars) const {
+  for (std::size_t p = 0; p < vars.size(); ++p) {
+    if (vars[p] >= num_vars_ ||
+        (p > 0 && level_of(vars[p - 1]) <= level_of(vars[p]))) {
+      return false;
+    }
+  }
+  return vars.size() <= kMaxTableVars;
+}
+
+bool BddManager::table_of(const Bdd& f, std::span<const std::uint32_t> vars,
+                          std::uint64_t* dst) {
+  if (f.manager() != this) {
+    throw std::invalid_argument("table_of: operand from a different manager");
+  }
+  if (!valid_table_layout(vars)) {
+    throw std::invalid_argument("table_of: not a deepest-first layout");
+  }
+  const auto width = static_cast<std::uint32_t>(vars.size());
+  bind_table_layout(vars.data(), width);
+  return table_from_edge(f.raw_edge(), width, dst);
+}
+
+Bdd BddManager::bdd_of_table(const std::uint64_t* table,
+                             std::span<const std::uint32_t> vars) {
+  if (!valid_table_layout(vars)) {
+    throw std::invalid_argument("bdd_of_table: not a deepest-first layout");
+  }
+  const auto width = static_cast<std::uint32_t>(vars.size());
+  if (width < 6 && tt::replicate(table[0], width) != table[0]) {
+    throw std::invalid_argument("bdd_of_table: word not replicated");
+  }
+  bind_table_layout(vars.data(), width);
+  return wrap(edge_from_table(table, width));
+}
+
+void BddManager::bind_table_layout(const std::uint32_t* vars,
+                                   std::uint32_t width) {
+  assert_owning_thread();  // the conversions write the traversal scratch
+  table_var_ = vars;
+  if (table_pos_.size() < num_vars_) {
+    table_pos_.resize(num_vars_);
+  }
+  for (std::uint32_t p = 0; p < width; ++p) {
+    table_pos_[vars[p]] = static_cast<std::uint8_t>(p);
+  }
+  // word_from_edge's per-node memo and edge_from_word's word memo hold
+  // words of the previous layout (and edges a GC may have freed since).
+  trav_map_.clear();
+  if (++table_word_stamp_ == 0) {  // wrapped: forget every slot explicitly
+    table_word_edges_.fill(WordEdge{});
+    table_word_stamp_ = 1;
+  }
+}
+
+bool BddManager::table_from_edge(Edge e, std::uint32_t k, std::uint64_t* dst) {
   if (k <= 6) {
-    dst[0] = word_from_edge(e);
-    return;
+    bool inside = true;
+    dst[0] = word_from_edge(e, k, inside);
+    return inside;
   }
   const std::size_t h = table_words(k) / 2;
   if (edge_is_constant(e)) {
     std::fill(dst, dst + 2 * h, e == kOne ? kAllOnes : 0);
-  } else if (node_var(e) == isop_table_var_[k - 1]) {
-    table_from_edge(lo_of(e), k - 1, dst);
-    table_from_edge(hi_of(e), k - 1, dst + h);
-  } else {
-    table_from_edge(e, k - 1, dst);
-    std::copy(dst, dst + h, dst + h);
+    return true;
   }
+  const std::uint32_t top = table_var_[k - 1];
+  if (node_var(e) == top) {
+    return table_from_edge(lo_of(e), k - 1, dst) &&
+           table_from_edge(hi_of(e), k - 1, dst + h);
+  }
+  if (node_level(e) < level_of(top)) {
+    return false;  // e depends on a variable above the layout's top
+  }
+  const bool inside = table_from_edge(e, k - 1, dst);
+  std::copy(dst, dst + h, dst + h);
+  return inside;
 }
 
-std::uint64_t BddManager::word_from_edge(Edge e) {
+std::uint64_t BddManager::word_from_edge(Edge e, std::uint32_t k,
+                                         bool& inside) {
   if (edge_is_constant(e)) {
     return e == kOne ? kAllOnes : 0;
   }
@@ -354,8 +404,13 @@ std::uint64_t BddManager::word_from_edge(Edge e) {
     word = *memo;
   } else {
     const Node& n = nodes_[idx];
-    const std::uint64_t mask = kVarMask[isop_table_pos_[n.var]];
-    word = (mask & word_from_edge(n.hi)) | (~mask & word_from_edge(n.lo));
+    const std::uint32_t p = table_pos_[n.var];
+    if (p >= k || table_var_[p] != n.var) {
+      inside = false;  // a variable outside positions 0..k-1
+      return 0;
+    }
+    word = (kVarMask[p] & word_from_edge(n.hi, k, inside)) |
+           (~kVarMask[p] & word_from_edge(n.lo, k, inside));
     trav_map_.insert(idx, word);
   }
   return edge_complemented(e) ? ~word : word;
@@ -372,32 +427,32 @@ Edge BddManager::edge_from_table(const std::uint64_t* table,
     return lo;
   }
   const Edge hi = edge_from_table(table + h, k - 1);
-  return make_node(isop_table_var_[k - 1], hi, lo);
+  return make_node(table_var_[k - 1], hi, lo);
 }
 
 Edge BddManager::edge_from_word(std::uint64_t word, std::uint32_t k) {
   if (word == 0 || word == kAllOnes) {
     return word == 0 ? kZero : kOne;
   }
-  // The edge of a word depends only on the word under this call's layout
+  // The edge of a word depends only on the word under the bound layout
   // (a word is replicated over the positions it does not depend on).
   const std::size_t slot = (word * 0x9E3779B97F4A7C15ull) >> 56;
-  if (isop_word_edges_[slot].stamp == isop_word_stamp_ &&
-      isop_word_edges_[slot].word == word) {
-    return isop_word_edges_[slot].edge;
+  if (table_word_edges_[slot].stamp == table_word_stamp_ &&
+      table_word_edges_[slot].word == word) {
+    return table_word_edges_[slot].edge;
   }
   std::uint32_t p = k;
   std::uint64_t c0 = 0, c1 = 0;
   do {
     assert(p > 0 && "edge_from_word: non-constant word without support");
     --p;
-    c0 = word_cofactor0(word, p);
-    c1 = word_cofactor1(word, p);
+    c0 = tt::word_cofactor0(word, p);
+    c1 = tt::word_cofactor1(word, p);
   } while (c0 == c1);
   const Edge hi = edge_from_word(c1, p);
   const Edge lo = edge_from_word(c0, p);
-  const Edge e = make_node(isop_table_var_[p], hi, lo);
-  isop_word_edges_[slot] = WordEdge{word, e, isop_word_stamp_};
+  const Edge e = make_node(table_var_[p], hi, lo);
+  table_word_edges_[slot] = WordEdge{word, e, table_word_stamp_};
   return e;
 }
 

@@ -74,11 +74,12 @@ Bdd IsfMinimizer::minimize(const Isf& isf) const {
   // Results are memoized in the manager's computed table, keyed on the
   // interval (ON, upper) with the settings as the tag.  An entry lives
   // only until the next garbage collection empties the table, so the
-  // memo catches only repeats inside one collection epoch; on large
-  // relations breadth-first search usually runs collections between a
-  // child's quick-solve safety net and its MISF candidate.  On serial
-  // 10-input x 8-output solves 70-750 of the 2032 lookups per solve hit,
-  // more where fewer collections run.
+  // memo catches only repeats inside one collection epoch.  The search
+  // and quick_solve reach this call only on their BDD path — relations
+  // too wide for a relation table, orders that put an output above an
+  // input, non-default settings (relation_table.hpp) — so on narrow
+  // relations the memo serves direct callers (the service benchmark's
+  // minimize probe, say), not the search.
   BddManager& mgr = *isf.on().manager();
   const std::uint32_t tag = (static_cast<std::uint32_t>(method) << 1) |
                             (eliminate_nonessential ? 1u : 0u);

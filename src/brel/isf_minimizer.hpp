@@ -32,6 +32,13 @@ struct IsfMinimizer {
   /// Minimize `isf`; the result always lies in [isf.min(), isf.max()].
   [[nodiscard]] Bdd minimize(const Isf& isf) const;
 
+  /// The default settings (ISOP after elimination): the only ones the
+  /// relation tables implement (relation/relation_table.hpp), so the
+  /// only ones under which the search and quick_solve run on them.
+  [[nodiscard]] bool has_table_path() const noexcept {
+    return method == IsfMethod::Isop && eliminate_nonessential;
+  }
+
   /// Like minimize() but also reports the ISOP cover when the kernel
   /// produces one (other kernels get a cover via a final exact ISOP).
   [[nodiscard]] IsopResult minimize_to_cover(const Isf& isf) const;

@@ -256,7 +256,7 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
       (void)ctx.symmetries->seen_before_or_insert(root.characteristic());
     }
     Subproblem root_item{root, 0};
-    MultiFunction quick = quick_solve(root, options.minimizer);
+    MultiFunction quick = quick_solve(root, options.minimizer, ctx.table);
     ++ctx.stats.quick_solutions;
     ++ctx.stats.solutions_seen;
     const double quick_cost = ctx.cost(quick);

@@ -6,6 +6,24 @@ namespace brel {
 
 MultiFunction quick_solve(const BooleanRelation& r,
                           const IsfMinimizer& minimizer) {
+  RelationTable table;
+  return quick_solve(r, minimizer, table);
+}
+
+MultiFunction quick_solve(const BooleanRelation& r,
+                          const IsfMinimizer& minimizer,
+                          RelationTable& table) {
+  if (!minimizer.has_table_path() || !table.load(r)) {
+    return quick_solve_bdd(r, minimizer);
+  }
+  if (!table.well_defined()) {
+    throw std::invalid_argument("quick_solve: relation is not well defined");
+  }
+  return table.quick_solve();
+}
+
+MultiFunction quick_solve_bdd(const BooleanRelation& r,
+                              const IsfMinimizer& minimizer) {
   if (!r.is_well_defined()) {
     throw std::invalid_argument("quick_solve: relation is not well defined");
   }

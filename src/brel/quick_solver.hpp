@@ -12,12 +12,23 @@
 
 #include "brel/isf_minimizer.hpp"
 #include "relation/relation.hpp"
+#include "relation/relation_table.hpp"
 
 namespace brel {
 
 /// Solve `r` output-by-output in index order.  Throws std::invalid_argument
-/// when `r` is not well defined (IF(R) is empty then).
+/// when `r` is not well defined (IF(R) is empty then).  Under the default
+/// minimizer a narrow relation is solved on its truth table
+/// (RelationTable::quick_solve, the same edges); the overload taking
+/// `table` loads r into it, reusing its storage.
 [[nodiscard]] MultiFunction quick_solve(const BooleanRelation& r,
                                         const IsfMinimizer& minimizer = {});
+[[nodiscard]] MultiFunction quick_solve(const BooleanRelation& r,
+                                        const IsfMinimizer& minimizer,
+                                        RelationTable& table);
+/// quick_solve on BDDs at every width — the reference the table path is
+/// tested and measured against.
+[[nodiscard]] MultiFunction quick_solve_bdd(const BooleanRelation& r,
+                                            const IsfMinimizer& minimizer = {});
 
 }  // namespace brel

@@ -37,18 +37,39 @@ std::vector<std::size_t> outputs_in_var_order(const BooleanRelation& rel) {
   return order;
 }
 
+/// True when `rel` runs on ctx.table (loaded by this call if need be).
+bool on_table(SearchContext& ctx, const BooleanRelation& rel) {
+  return ctx.options.minimizer.has_table_path() && ctx.table.load(rel);
+}
+
 /// A NaN cost would break the strict weak ordering std::push_heap
 /// requires; map it to +inf (explore last) before it becomes a priority.
 double sanitize_priority(double cost) noexcept {
   return std::isnan(cost) ? std::numeric_limits<double>::infinity() : cost;
 }
 
+/// quick_solve of `child`, the half of parent's split at `choice` that
+/// keeps y_i(x) = value.  While ctx.table still holds the parent (it
+/// does unless a best-first push priced the first half), the half's
+/// table is derived from it instead of loaded.
+MultiFunction quick_solve_child(SearchContext& ctx,
+                                const BooleanRelation& parent,
+                                const BooleanRelation& child,
+                                const SplitChoice& choice, bool value) {
+  if (ctx.options.minimizer.has_table_path() && ctx.table.holds(parent)) {
+    return ctx.table.quick_solve_split(choice.vertex, choice.output, value);
+  }
+  return quick_solve(child, ctx.options.minimizer, ctx.table);
+}
+
 /// Generate one child: symmetry pruning, subproblem-cache dedup,
 /// QuickSolver safety net, optional best-first priority seeding, frontier
 /// push.  `parent` supplies the symmetry depth gate (exactly like the
-/// original loop) and the ancestor chain for solution memoization.
+/// original loop) and the ancestor chain for solution memoization;
+/// the child is the half of its split at `choice` with y_i(x) = value.
 void enqueue_child(SearchContext& ctx, BooleanRelation&& child,
-                   const Subproblem& parent, Frontier& frontier) {
+                   const Subproblem& parent, const SplitChoice& choice,
+                   bool value, Frontier& frontier) {
   if (ctx.symmetries.has_value() &&
       parent.depth < ctx.options.symmetry_depth &&
       ctx.symmetries->seen_before_or_insert(child.characteristic())) {
@@ -80,7 +101,7 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child,
   // Sec. 7.6: every generated subrelation is quick-solved immediately, so
   // a solution from this branch survives even if the child is never
   // popped (frontier overflow, budget, timeout).
-  MultiFunction q = quick_solve(sub.rel, ctx.options.minimizer);
+  MultiFunction q = quick_solve_child(ctx, parent.rel, sub.rel, choice, value);
   ++ctx.stats.quick_solutions;
   ++ctx.stats.solutions_seen;
   const double qc = ctx.cost(q);
@@ -161,14 +182,27 @@ CacheFingerprint make_cache_fingerprint(const BooleanRelation& root,
 
 MultiFunction minimize_misf_candidate(SearchContext& ctx,
                                       const BooleanRelation& rel) {
+  ctx.stats.misf_minimizations += rel.num_outputs();
+  if (on_table(ctx, rel)) {
+    return ctx.table.misf_candidate();
+  }
   MultiFunction candidate;
   candidate.outputs.reserve(rel.num_outputs());
   for (std::size_t i = 0; i < rel.num_outputs(); ++i) {
     candidate.outputs.push_back(
         ctx.options.minimizer.minimize(rel.project_output(i)));
-    ++ctx.stats.misf_minimizations;
   }
   return candidate;
+}
+
+Bdd conflict_inputs(SearchContext& ctx, const BooleanRelation& rel,
+                    const MultiFunction& f) {
+  if (on_table(ctx, rel)) {
+    if (std::optional<Bdd> conflicts = ctx.table.conflict_inputs(f)) {
+      return std::move(*conflicts);
+    }
+  }
+  return ctx.mgr.exists(rel.incompatibilities(f), rel.outputs());
 }
 
 void handle_terminal(SearchContext& ctx, const Subproblem& item) {
@@ -197,13 +231,13 @@ std::optional<SplitChoice> select_flexibility_split(
 
 SplitChoice select_conflict_split(SearchContext& ctx,
                                   const BooleanRelation& rel,
-                                  const Bdd& incomp) {
+                                  const Bdd& conflicts) {
   BddManager& mgr = ctx.mgr;
-  const Bdd conflict_inputs = mgr.exists(incomp, rel.outputs());
-  const Cube cube = mgr.shortest_cube(conflict_inputs);
+  const Cube cube = mgr.shortest_cube(conflicts);
   std::vector<bool> x = vertex_from_cube(cube, mgr.num_vars());
+  const bool table = on_table(ctx, rel);
   for (const std::size_t i : outputs_in_var_order(rel)) {
-    if (rel.can_split(x, i)) {
+    if (table ? ctx.table.can_split(x, i) : rel.can_split(x, i)) {
       return SplitChoice{std::move(x), i};
     }
   }
@@ -252,9 +286,9 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
   // recording below — but its subtree is cut.
   const bool depth_capped = item.depth >= ctx.options.max_depth;
 
-  const Bdd incomp = rel.incompatibilities(candidate);
+  const Bdd conflicts = conflict_inputs(ctx, rel, candidate);
   std::optional<SplitChoice> choice;
-  if (incomp.is_zero()) {
+  if (conflicts.is_zero()) {
     // Lines 7-8: compatible solution.  Nothing below reads the candidate
     // again, so it moves into the incumbent/memo.
     ++ctx.stats.solutions_seen;
@@ -280,15 +314,15 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
       ++ctx.stats.depth_limited;
       return;
     }
-    choice = select_conflict_split(ctx, rel, incomp);
+    choice = select_conflict_split(ctx, rel, conflicts);
   }
 
   // Lines 11-12: both halves enter the frontier through the caches and
   // the QuickSolver safety net.
   ++ctx.stats.splits;
   auto [r0, r1] = rel.split(choice->vertex, choice->output);
-  enqueue_child(ctx, std::move(r0), item, frontier);
-  enqueue_child(ctx, std::move(r1), item, frontier);
+  enqueue_child(ctx, std::move(r0), item, *choice, false, frontier);
+  enqueue_child(ctx, std::move(r1), item, *choice, true, frontier);
 }
 
 SearchEngine::SearchEngine(const BooleanRelation& root,
@@ -410,7 +444,8 @@ SolveResult SearchEngine::run() {
   // The root quick solution seeds the incumbent UNCONDITIONALLY: even a
   // cost function that maps it to +inf (or NaN) must leave a compatible
   // function in `best`, never an empty MultiFunction.
-  MultiFunction quick = quick_solve(root_, ctx_.options.minimizer);
+  MultiFunction quick =
+      quick_solve(root_, ctx_.options.minimizer, ctx_.table);
   ++ctx_.stats.quick_solutions;
   ++ctx_.stats.solutions_seen;
   const double quick_cost = ctx_.cost(quick);

@@ -46,6 +46,7 @@
 #include "brel/subproblem_cache.hpp"
 #include "brel/symmetry.hpp"
 #include "relation/relation.hpp"
+#include "relation/relation_table.hpp"
 
 namespace brel {
 
@@ -82,6 +83,12 @@ struct SearchContext {
   /// comparison, invalidated whenever a strictly better incumbent wins.
   const MemoSpace* tie_space = nullptr;
   std::optional<PortableSolution> best_portable = {};
+
+  /// The truth table of the relation last expanded or quick-solved, when
+  /// it is narrow and the minimizer has a table path (relation_table.hpp):
+  /// one load per relation serves the MISF candidate, the conflict check
+  /// and the split guard.
+  RelationTable table = {};
 
   [[nodiscard]] bool timed_out() const;
 
@@ -126,13 +133,19 @@ void handle_terminal(SearchContext& ctx, const Subproblem& item);
 [[nodiscard]] std::optional<SplitChoice> select_flexibility_split(
     const BooleanRelation& rel);
 
+/// Fig. 6 lines 7 and 9: ∃Y Incomp(f, rel), the input vertices where the
+/// candidate f leaves the relation (zero iff f is compatible).
+[[nodiscard]] Bdd conflict_inputs(SearchContext& ctx,
+                                  const BooleanRelation& rel,
+                                  const MultiFunction& f);
+
 /// Fig. 6 lines 9-10 / Sec. 7.4: split vertex from the largest cube of the
-/// input projection of Incomp (don't-cares assigned 1), first output in
-/// variable order admitting both values.  Throws std::logic_error if no
-/// output can split — impossible for a genuine conflict (Sec. 6.3).
+/// conflict inputs (don't-cares assigned 1), first output in variable
+/// order admitting both values.  Throws std::logic_error if no output can
+/// split — impossible for a genuine conflict (Sec. 6.3).
 [[nodiscard]] SplitChoice select_conflict_split(SearchContext& ctx,
                                                 const BooleanRelation& rel,
-                                                const Bdd& incomp);
+                                                const Bdd& conflicts);
 
 /// One full expansion of a popped subproblem: terminal handling, MISF
 /// candidate + bounding, compatibility check, split selection, and child

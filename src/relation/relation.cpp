@@ -204,9 +204,15 @@ Bdd BooleanRelation::incompatibilities(const MultiFunction& f) const {
 
 bool BooleanRelation::can_split(const std::vector<bool>& x,
                                 std::size_t output_index) const {
-  // Theorem 5.2: (R ↓ y_i)(x) = {0, 1}.
-  const Isf isf = project_output(output_index);
-  return isf.max().eval(x) && !isf.on().eval(x);
+  // Theorem 5.2: (R ↓ y_i)(x) = {0, 1}, i.e. the image R(x) — χ
+  // cofactored along x — holds a point with y_i = 1 and one with y_i = 0.
+  const std::uint32_t y = outputs_.at(output_index);
+  Bdd image = chi_;
+  for (const std::uint32_t v : inputs_) {
+    image = mgr_->cofactor(image, v, x.at(v));
+  }
+  return !mgr_->cofactor(image, y, true).is_zero() &&
+         !mgr_->cofactor(image, y, false).is_zero();
 }
 
 std::pair<Bdd, Bdd> BooleanRelation::split_removals(

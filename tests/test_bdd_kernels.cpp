@@ -45,6 +45,7 @@
 
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_transfer.hpp"
+#include "bdd/truth_table.hpp"
 #include "benchgen/relation_suite.hpp"
 #include "brel/solver.hpp"
 
@@ -1103,6 +1104,97 @@ TEST(BddTraversalTest, WarmTraversalsAllocateOnlyTheirResults) {
               }
             }),
             non_constant);
+}
+
+// ---------------------------------------------------------------------------
+// Tables over an explicit layout (BddManager::table_of / bdd_of_table): the
+// conversions the truth-table ISOP and the relation tables share.
+// ---------------------------------------------------------------------------
+
+/// The layout of `vars` deepest level first.
+std::vector<std::uint32_t> deepest_first(const BddManager& mgr,
+                                         std::vector<std::uint32_t> vars) {
+  std::sort(vars.begin(), vars.end(), [&mgr](std::uint32_t a, std::uint32_t b) {
+    return mgr.level_of_var(a) > mgr.level_of_var(b);
+  });
+  return vars;
+}
+
+TEST(TableLayoutTest, RoundTripsOverLayoutsWiderThanTheSupport) {
+  for (const bool scrambled : {false, true}) {
+    BddManager mgr{0};
+    (void)mgr.add_vars(12);
+    if (scrambled) {
+      const std::vector<std::uint32_t> ranks = {7, 2, 11, 0, 5, 9,
+                                                1, 10, 4, 6, 3, 8};
+      mgr.seed_block_order(0, ranks);
+    }
+    std::mt19937 rng{scrambled ? 77u : 78u};
+    for (const std::uint32_t width : {3u, 6u, 9u, 12u}) {
+      std::vector<std::uint32_t> all(12);
+      for (std::uint32_t v = 0; v < 12; ++v) {
+        all[v] = v;
+      }
+      std::shuffle(all.begin(), all.end(), rng);
+      const std::vector<std::uint32_t> layout = deepest_first(
+          mgr, std::vector<std::uint32_t>(all.begin(), all.begin() + width));
+      std::vector<std::uint64_t> table(tt::table_words(width));
+      for (int i = 0; i < 20; ++i) {
+        // Over a subset of the layout: the table ignores the rest.
+        const std::span<const std::uint32_t> support(
+            layout.data(), 1 + rng() % width);
+        const Bdd f = random_function_over(mgr, rng, support, 3);
+        ASSERT_TRUE(mgr.table_of(f, layout, table.data()));
+        EXPECT_TRUE(mgr.bdd_of_table(table.data(), layout) == f);
+        std::vector<bool> x(12, false);
+        for (std::uint64_t bit = 0; bit < (std::uint64_t{1} << width); ++bit) {
+          for (std::uint32_t p = 0; p < width; ++p) {
+            x[layout[p]] = ((bit >> p) & 1u) != 0;
+          }
+          ASSERT_EQ((table[bit >> 6] >> (bit & 63) & 1u) != 0, f.eval(x))
+              << "width " << width << " bit " << bit;
+        }
+        if (width < 6) {  // a one-word table is replicated above 2^width
+          EXPECT_EQ(tt::replicate(table[0], width), table[0]);
+        }
+      }
+    }
+  }
+}
+
+TEST(TableLayoutTest, DependenceOutsideTheLayoutIsReported) {
+  BddManager mgr{8, 12};
+  std::uint64_t table[2] = {};
+  const std::vector<std::uint32_t> layout = {5, 3, 1};  // identity order
+  // Below position 0, between positions, above the top position.
+  for (const std::uint32_t outside : {7u, 4u, 2u, 0u}) {
+    const Bdd f = mgr.var(3) & (mgr.var(outside) | mgr.var(1));
+    EXPECT_FALSE(mgr.table_of(f, layout, table)) << outside;
+  }
+  const std::vector<std::uint32_t> wide = {7, 6, 5, 4, 3, 2, 1};
+  EXPECT_FALSE(mgr.table_of(mgr.var(0) ^ mgr.var(6), wide, table));
+  EXPECT_TRUE(mgr.table_of(mgr.var(1) ^ mgr.var(6), wide, table));
+  EXPECT_TRUE(mgr.bdd_of_table(table, wide) == (mgr.var(1) ^ mgr.var(6)));
+}
+
+TEST(TableLayoutTest, RejectsInvalidLayoutsAndTables) {
+  BddManager mgr{8, 12};
+  std::uint64_t table[1] = {0x6};
+  const std::vector<std::uint32_t> top_first = {1, 3};
+  const std::vector<std::uint32_t> unknown = {9, 3};
+  const std::vector<std::uint32_t> twice = {3, 3};
+  for (const auto* layout : {&top_first, &unknown, &twice}) {
+    EXPECT_FALSE(mgr.valid_table_layout(*layout));
+    EXPECT_THROW((void)mgr.table_of(mgr.var(3), *layout, table),
+                 std::invalid_argument);
+    EXPECT_THROW((void)mgr.bdd_of_table(table, *layout),
+                 std::invalid_argument);
+  }
+  // 0x6 is x0 xor x1 on its low 4 bits but not replicated above them.
+  const std::vector<std::uint32_t> layout = {3, 1};
+  EXPECT_THROW((void)mgr.bdd_of_table(table, layout), std::invalid_argument);
+  table[0] = 0x6666666666666666ull;
+  EXPECT_TRUE(mgr.bdd_of_table(table, layout) == (mgr.var(3) ^ mgr.var(1)));
 }
 
 }  // namespace

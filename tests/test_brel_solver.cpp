@@ -7,6 +7,7 @@
 #include <random>
 #include <span>
 
+#include "bdd/bdd_transfer.hpp"
 #include "benchgen/paper_relations.hpp"
 #include "benchgen/relation_suite.hpp"
 #include "brel/solver.hpp"
@@ -450,14 +451,21 @@ TEST(MinimizeMemoTest, SuiteHitsWithUnchangedCostAndExploration) {
   // The schedule-independent configuration (no bound, depth cap 6): cost
   // and exploration over the suite are pure functions of the relations,
   // so the memo must leave both exactly where the uncached solver had
-  // them while serving repeat minimizations.
+  // them while serving repeat minimizations.  The memo serves the BDD
+  // path: in the generated order (outputs below inputs) every node runs
+  // on relation tables, which never probe it, so each relation is also
+  // solved with its outputs moved above its inputs, where every node runs
+  // on BDDs.  Neither order moves the costs (the solutions range over the
+  // inputs, whose relative order is the same) or the exploration.
   SolverOptions options;
   options.cost = sum_of_bdd_sizes();
   options.max_relations = static_cast<std::size_t>(-1);
   options.use_cost_bound = false;
   options.max_depth = 6;
   double cost = 0.0;
+  double bdd_path_cost = 0.0;
   std::size_t explored = 0;
+  std::size_t bdd_path_explored = 0;
   std::uint64_t hits = 0;
   for (const RelationBenchmark& bench : relation_suite()) {
     BddManager mgr{0};
@@ -469,11 +477,25 @@ TEST(MinimizeMemoTest, SuiteHitsWithUnchangedCostAndExploration) {
     EXPECT_TRUE(r.is_compatible(result.function)) << bench.name;
     cost += result.cost;
     explored += result.stats.relations_explored;
-    hits += minimize_hits(mgr);
+
+    BddManager top{0};
+    (void)top.add_vars(mgr.num_vars());
+    std::vector<std::uint32_t> order = outputs;
+    order.insert(order.end(), inputs.begin(), inputs.end());
+    top.seed_block_order(0, order);
+    const BooleanRelation s(top, inputs, outputs,
+                            transfer_bdd(r.characteristic(), top));
+    const SolveResult on_bdds = BrelSolver(options).solve(s);
+    EXPECT_TRUE(s.is_compatible(on_bdds.function)) << bench.name;
+    bdd_path_cost += on_bdds.cost;
+    bdd_path_explored += on_bdds.stats.relations_explored;
+    hits += minimize_hits(top);
   }
   EXPECT_GT(hits, 0u);
   EXPECT_DOUBLE_EQ(cost, 817.0);
   EXPECT_EQ(explored, 1915u);
+  EXPECT_DOUBLE_EQ(bdd_path_cost, 817.0);
+  EXPECT_EQ(bdd_path_explored, 1915u);
 }
 
 }  // namespace

@@ -32,7 +32,10 @@ same holds for every `minimize_kernels.*_allocs` field (allocations
 per warm isop_function / essential_test call, and per truth-table ISOP
 call of the width ladder once its scratch is warm), and
 `minimize_kernels.isop_tt_mismatches` must stay exactly 0: a truth-table
-ISOP whose edge differs from the BDD recursion's is a wrong answer.
+ISOP whose edge differs from the BDD recursion's is a wrong answer.  So
+must `relation_kernels.relation_tt_mismatches`: a relation-table kernel
+(MISF candidate, quick solve, conflict inputs) whose edge differs from
+the BDD path's is a wrong answer too.
 """
 
 import json
@@ -49,6 +52,7 @@ EXACT_ZERO = (
     "incompatible",
     "probe_allocs",
     "isop_tt_mismatches",
+    "relation_tt_mismatches",
 )
 
 
