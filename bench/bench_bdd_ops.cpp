@@ -39,6 +39,7 @@
 #include "benchgen/relation_suite.hpp"
 #include "brel/global_memo.hpp"
 #include "brel/quick_solver.hpp"
+#include "brel/solver.hpp"
 #include "relation/relation_table.hpp"
 
 // [memo-key-begin]
@@ -184,16 +185,16 @@ RoundTiming time_rounds(int rounds, std::size_t ops, const Round& round) {
   return time_rounds(rounds, ops, round, [] {});
 }
 
-/// The gated sections (reorder, memo_key, traversal, minimize kernels)
-/// run kPasses times, spread over the whole process.  On a shared
-/// virtual host the speed drifts by up to 2x in spells lasting seconds
-/// (measured on a 4-vCPU host), much longer than one section, so a
-/// median over rounds inside one section cannot absorb a spell; a
-/// median over passes absorbs every spell shorter than half the run.
-/// Every gated timing is recorded per pass under its JSON path;
-/// pass_median returns the median over the passes so far, so the last
-/// pass — the only one that prints and writes JSON (the others get a
-/// null writer) — reports the median over all of them.
+/// The gated sections (reorder, memo_key, traversal, minimize kernels,
+/// relation kernels, manager) run kPasses times, spread over the whole
+/// process.  On a shared virtual host the speed drifts by up to 2x in
+/// spells lasting seconds (measured on a 4-vCPU host), much longer than
+/// one section, so a median over rounds inside one section cannot
+/// absorb a spell; a median over passes absorbs every spell shorter
+/// than half the run.  Every gated timing is recorded per pass under
+/// its JSON path; pass_median returns the median over the passes so
+/// far, so the last pass — the only one that prints and writes JSON
+/// (the others get a null writer) — reports the median over all of them.
 constexpr int kPasses = 9;
 std::map<std::string, std::vector<double>> g_pass_samples;
 
@@ -1143,6 +1144,82 @@ std::uint64_t report_relation_kernels(bench::JsonWriter* json) {
 }
 // [relation-kernels-end]
 
+// [manager-begin]
+/// A manager's lifecycle costs (per pass, the median of kRounds timed
+/// rounds), which a pool slot pays per request and a parallel solve per
+/// worker:
+///   construct:       a fresh BddManager{0} (and its destruction),
+///   reset_variables: a reset of a manager that holds a serial 10 x 8
+///                    solve's worth of nodes (brelbench's engine
+///                    configuration), rebuilt untimed before each round,
+///   cache_entries:   the computed-table size that solve leaves behind.
+/// The computed table grows with the node store, so neither timing may
+/// scale with the table's cap (2^18 entries by default).
+void report_manager(bench::JsonWriter* json) {
+  constexpr int kRounds = 21;
+  constexpr std::size_t kBuilds = 64;
+  const RoundTiming construct = time_rounds(kRounds, kBuilds, [] {
+    for (std::size_t i = 0; i < kBuilds; ++i) {
+      const auto mgr = std::make_unique<BddManager>(0);
+      if (mgr->num_vars() != 0) {
+        std::abort();  // keeps the construction observable
+      }
+    }
+  });
+
+  BddManager mgr{0};
+  std::size_t solve_entries = 0;
+  {
+    std::vector<std::uint32_t> inputs;
+    std::vector<std::uint32_t> outputs;
+    const BooleanRelation r = make_benchmark_relation(
+        mgr, RelationBenchmark{"manager", 10, 8, 2024}, inputs, outputs);
+    SolverOptions options;
+    options.max_relations = static_cast<std::size_t>(-1);
+    options.use_cost_bound = false;
+    options.max_depth = 6;
+    (void)BrelSolver(options).solve(r);
+    solve_entries = mgr.stats().cache_entries;
+  }
+  std::mt19937 rng{61};
+  const RoundTiming reset = time_rounds(
+      kRounds, 1,
+      [&] {
+        if (!mgr.reset_variables()) {
+          std::abort();
+        }
+      },
+      [&] {
+        if (mgr.num_vars() == 0) {
+          (void)mgr.add_vars(18);
+        }
+        // Dropped at once: the reset needs every handle released, and
+        // without a GC the nodes stay in the store the table grows with.
+        while (mgr.stats().cache_entries < solve_entries) {
+          (void)random_function(mgr, rng, 18, 5);
+        }
+      });
+
+  const double construct_ns =
+      pass_median("manager.construct_ns", construct.ns);
+  const double reset_ns = pass_median("manager.reset_variables_ns", reset.ns);
+  if (json == nullptr) {
+    return;
+  }
+  std::printf(
+      "\nmanager lifecycle:\n"
+      "  construct        %10.1f ns  (BddManager{0})\n"
+      "  reset_variables  %10.1f ns  (after a 10x8 solve's worth of nodes)\n"
+      "  cache_entries    %10zu     (computed table after that solve)\n",
+      construct_ns, reset_ns, solve_entries);
+  json->begin_object("manager");
+  json->field_num("construct_ns", construct_ns);
+  json->field_num("reset_variables_ns", reset_ns);
+  json->field_int("cache_entries", solve_entries);
+  json->end_object();
+}
+// [manager-end]
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1185,6 +1262,7 @@ int main(int argc, char** argv) {
     report_traversal(nullptr);
     (void)report_minimize_kernels(nullptr);
     (void)report_relation_kernels(nullptr);
+    report_manager(nullptr);
   }
   // [reorder-begin]
   const bool reorder_ok = report_reorder(&json);
@@ -1205,6 +1283,9 @@ int main(int argc, char** argv) {
   const std::uint64_t relation_tt_mismatches =
       report_relation_kernels(&json);
   // [relation-kernels-end]
+  // [manager-begin]
+  report_manager(&json);
+  // [manager-end]
   brel::bench::write_authoring_host(json);
   json.end_object();
 

@@ -198,6 +198,7 @@ struct BddStats {
   std::uint64_t gc_runs = 0;        ///< completed garbage collections
   std::uint64_t gc_checks = 0;      ///< garbage_collect_if_needed() calls
   std::uint64_t nodes_created = 0;  ///< total unique-table insertions
+  std::size_t cache_entries = 0;    ///< current computed-table size
   // -- dynamic reordering (bdd_reorder.cpp) --
   std::uint64_t reorders = 0;       ///< completed sifting runs
   std::uint64_t reorder_swaps = 0;  ///< adjacent-level swaps performed
@@ -222,7 +223,11 @@ struct BddStats {
 /// Bdd operators or the named operations below.
 class BddManager {
  public:
-  /// `cache_log2` sets the computed-table size to 2^cache_log2 entries.
+  /// `cache_log2` caps the computed table at 2^cache_log2 entries; it does
+  /// not set its size.  The table starts at 2^12 entries (or at the cap,
+  /// if that is smaller) and doubles whenever the node store holds more
+  /// nodes than it has entries; reset_variables() returns it to the start
+  /// size and keeps its memory for the next regrowth.
   explicit BddManager(std::uint32_t num_vars, std::uint32_t cache_log2 = 18);
   ~BddManager();
 
@@ -368,7 +373,8 @@ class BddManager {
                        const std::function<void(const std::vector<bool>&)>& visit);
 
   /// Reclaim dead nodes (those unreachable from any live handle) and clear
-  /// the computed cache.  Never call while external raw edges are held.
+  /// the computed cache (keeping its size).  Never call while external raw
+  /// edges are held.
   void garbage_collect();
   /// garbage_collect() if the dead-node estimate crosses the threshold.
   /// O(1) when it declines: the trigger compares the live-node count
@@ -420,7 +426,9 @@ class BddManager {
   /// solver-pool slot) can parse each request into variables 0..w-1
   /// instead of growing its variable count forever.  Only legal when no
   /// external handle is live; returns false (and changes nothing) when
-  /// external_root_count() != 0.
+  /// external_root_count() != 0.  The computed table returns to its
+  /// start size with its memory kept, so the slot's next requests regrow
+  /// it without fresh page faults and never past the cap.
   bool reset_variables();
 
   /// Pre-seed the relative order of a freshly added trailing variable
@@ -458,6 +466,7 @@ class BddManager {
     assert_owning_thread();  // the fold writes the mutable aggregates
     stats_.cache_lookups = 0;
     stats_.cache_hits = 0;
+    stats_.cache_entries = cache_.size();
     for (std::size_t op = 0; op < kBddOpCount; ++op) {
       stats_.cache_lookups += stats_.op_lookups[op];
       stats_.cache_hits += stats_.op_hits[op];
@@ -545,14 +554,20 @@ class BddManager {
   /// ~1 KiB per variable, while every doubling re-buckets the whole
   /// level.
   static constexpr std::size_t kInitialSubtableBuckets = 256;
+  /// Computed-table size of a fresh or reset manager (64 KiB).  Like a
+  /// unique subtable it doubles on load: whenever the node store holds
+  /// more nodes than the table has entries, up to the constructor's cap.
+  static constexpr std::size_t kInitialCacheEntries = std::size_t{1} << 12;
 
-  /// One computed-cache probe: the packed key words and the base slot of
-  /// the 2-way set, carried from cache_lookup to the matching cache_insert
-  /// so the hash is computed once per lookup/insert pair.
+  /// One computed-cache probe: the packed key words and their hash,
+  /// carried from cache_lookup to the matching cache_insert so the hash
+  /// is computed once per lookup/insert pair.  It holds the hash, not a
+  /// slot: the recursion between the two may grow the table, so the
+  /// insert masks the hash with the table's size at that moment.
   struct CacheProbe {
     std::uint64_t key_ab = 0;
     detail::Edge c = 0;
-    std::size_t slot = 0;
+    std::uint64_t hash = 0;
   };
 
   // -- node store ---------------------------------------------------------
@@ -620,7 +635,16 @@ class BddManager {
                                               detail::Edge c) noexcept;
 
   // -- computed cache ------------------------------------------------------
-  /// Packed key and 2-way set of (op, a, b, c), without probing.
+  /// Base slot of the 2-way set a probe hashes to in the current table.
+  [[nodiscard]] std::size_t cache_slot(const CacheProbe& probe) const noexcept {
+    return static_cast<std::size_t>(probe.hash & cache_mask_) << 1;
+  }
+  /// Empty the table and return it to its start size, keeping the
+  /// vector's capacity so a regrowth touches no fresh pages.
+  void cache_reset();
+  /// Double the table, re-placing every entry (allocate_node's trigger).
+  void cache_grow();
+  /// Packed key and hash of (op, a, b, c), without probing.
   [[nodiscard]] CacheProbe cache_probe(Op op, detail::Edge a, detail::Edge b,
                                        detail::Edge c) const noexcept;
   /// Probe the 2-way set for (op, a, b, c).  On a miss, `probe` carries the
@@ -782,6 +806,7 @@ class BddManager {
   std::vector<detail::Edge> swap_retired_;      ///< pass-2 deferred derefs
   std::vector<CacheEntry> cache_;
   std::uint64_t cache_mask_ = 0;  ///< (number of 2-way sets) - 1
+  std::size_t cache_cap_ = 0;     ///< 2^cache_log2: the table's size limit
   /// Nodes with refcount > 0 — the GC roots.  Maintained incrementally on
   /// every 0<->1 refcount transition so garbage_collect_if_needed never
   /// rescans the table.

@@ -128,10 +128,12 @@ BddManager::BddManager(std::uint32_t num_vars, std::uint32_t cache_log2) {
   nodes_.push_back(Node{kTerminalVar, kOne, kOne, 0});
   refcount_.push_back(1);  // never collected
   (void)add_vars(num_vars);
-  // 2^cache_log2 entries organized as 2-way sets (consecutive pairs); at
-  // 16 bytes per entry this is half the memory of the pre-overhaul cache.
-  cache_.resize(std::size_t{1} << cache_log2);
-  cache_mask_ = (std::uint64_t{1} << (cache_log2 - 1)) - 1;
+  // Entries are organized as 2-way sets (consecutive pairs); at 16 bytes
+  // per entry this is half the memory of the pre-overhaul cache.  The
+  // table starts small and grows with the node store (allocate_node), so
+  // a manager that builds a few thousand nodes never fills megabytes.
+  cache_cap_ = std::size_t{1} << cache_log2;
+  cache_reset();
 }
 
 BddManager::~BddManager() = default;
@@ -286,6 +288,9 @@ std::uint32_t BddManager::allocate_node() {
   }
   nodes_.push_back(Node{});
   refcount_.push_back(0);
+  if (nodes_.size() > cache_.size() && cache_.size() < cache_cap_) {
+    cache_grow();
+  }
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
@@ -388,13 +393,50 @@ std::uint64_t BddManager::hash_key(std::uint64_t key_ab, Edge c) noexcept {
   return h;
 }
 
+void BddManager::cache_reset() {
+  const std::size_t entries = std::min(kInitialCacheEntries, cache_cap_);
+  cache_.assign(entries, CacheEntry{});  // keeps the vector's capacity
+  cache_mask_ = entries / 2 - 1;
+}
+
+void BddManager::cache_grow() {
+  // Set s of the old table splits into sets s and s + old_sets of the new
+  // one, by the one hash bit the wider mask adds; each entry keeps its
+  // way order (MRU first), so the grown table answers every probe the old
+  // one did.  Probes pending in a recursion hold a hash, not a slot
+  // (CacheProbe), so their inserts land in the new layout too.
+  const std::size_t old_sets = cache_mask_ + 1;
+  cache_.resize(cache_.size() * 2);  // the new upper half is empty
+  cache_mask_ = cache_mask_ * 2 + 1;
+  for (std::size_t set = 0; set < old_sets; ++set) {
+    CacheEntry* low = &cache_[set << 1];
+    CacheEntry* high = &cache_[(set + old_sets) << 1];
+    std::size_t low_ways = 0;
+    std::size_t high_ways = 0;
+    for (std::size_t way = 0; way < 2; ++way) {
+      const CacheEntry entry = low[way];
+      if (entry.key_ab == kEmptyCacheKey) {
+        continue;
+      }
+      if ((hash_key(entry.key_ab, entry.c) & old_sets) != 0) {
+        high[high_ways++] = entry;
+      } else {
+        low[low_ways++] = entry;
+      }
+    }
+    for (; low_ways < 2; ++low_ways) {
+      low[low_ways] = CacheEntry{};
+    }
+  }
+}
+
 BddManager::CacheProbe BddManager::cache_probe(Op op, Edge a, Edge b,
                                                Edge c) const noexcept {
   CacheProbe probe;
   probe.key_ab = (std::uint64_t{static_cast<std::uint32_t>(op)} << 60) |
                  (std::uint64_t{a} << 30) | b;
   probe.c = c;
-  probe.slot = (hash_key(probe.key_ab, c) & cache_mask_) << 1;
+  probe.hash = hash_key(probe.key_ab, c);
   return probe;
 }
 
@@ -404,13 +446,14 @@ bool BddManager::cache_lookup(Op op, Edge a, Edge b, Edge c, Edge& out,
   const auto op_idx = static_cast<std::size_t>(op);
   ++stats_.op_lookups[op_idx];  // aggregates are folded on stats() read
   probe = cache_probe(op, a, b, c);
-  CacheEntry& primary = cache_[probe.slot];
+  const std::size_t slot = cache_slot(probe);
+  CacheEntry& primary = cache_[slot];
   if (primary.key_ab == probe.key_ab && primary.c == c) {
     ++stats_.op_hits[op_idx];
     out = primary.result;
     return true;
   }
-  CacheEntry& secondary = cache_[probe.slot + 1];
+  CacheEntry& secondary = cache_[slot + 1];
   if (secondary.key_ab == probe.key_ab && secondary.c == c) {
     ++stats_.op_hits[op_idx];
     out = secondary.result;
@@ -421,9 +464,10 @@ bool BddManager::cache_lookup(Op op, Edge a, Edge b, Edge c, Edge& out,
 }
 
 void BddManager::cache_insert(const CacheProbe& probe, Edge result) {
-  CacheEntry& primary = cache_[probe.slot];
+  const std::size_t slot = cache_slot(probe);
+  CacheEntry& primary = cache_[slot];
   if (primary.key_ab != kEmptyCacheKey) {
-    cache_[probe.slot + 1] = primary;  // demote; the LRU way is evicted
+    cache_[slot + 1] = primary;  // demote; the LRU way is evicted
   }
   primary = CacheEntry{probe.key_ab, probe.c, result};
 }
@@ -519,6 +563,8 @@ void BddManager::garbage_collect() {
     }
   }
   // The computed cache and unique tables reference dead nodes; rebuild.
+  // The table keeps its size: the node store it is sized to has not
+  // shrunk.
   std::fill(cache_.begin(), cache_.end(), CacheEntry{});
   rebuild_subtables();
   stats_.live_nodes = live_nodes();
@@ -618,10 +664,13 @@ Edge BddManager::vars_cube(std::span<const std::uint32_t> vars) {
     }
   }
   // Bottom-up by LEVEL (a reordered manager's cube must be ordered too).
+  // A repeated variable appears once: a second node at the same level
+  // would break the order invariant.
   std::sort(sorted.begin(), sorted.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               return level_of(a) < level_of(b);
             });
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   Edge acc = kOne;
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     acc = make_node(*it, acc, kZero);

@@ -391,7 +391,7 @@ bool BddManager::reset_variables() {
   var_at_level_.clear();
   order_is_identity_ = true;
   reorder_threshold_ = reorder_first_threshold_;
-  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+  cache_reset();
   gc_mark_.clear();
   stats_.live_nodes = 0;
   return true;

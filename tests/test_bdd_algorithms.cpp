@@ -36,6 +36,17 @@ TEST_F(BddAlgorithmsTest, ExistsMultipleVariables) {
   EXPECT_TRUE(mgr.exists(f, q) == expected);
 }
 
+TEST_F(BddAlgorithmsTest, RepeatedQuantifiedVariablesCountOnce) {
+  const Bdd f = (v(0) & v(1) & v(2)) | (v(3) & !v(1));
+  const std::vector<std::uint32_t> once{1, 2};
+  const std::vector<std::uint32_t> twice{2, 1, 2, 1};
+  EXPECT_TRUE(mgr.exists(f, twice) == mgr.exists(f, once));
+  EXPECT_TRUE(mgr.forall(f, twice) == mgr.forall(f, once));
+  const Bdd g = v(1) | v(4);
+  EXPECT_TRUE(mgr.and_exists(f, g, twice) == mgr.and_exists(f, g, once));
+  mgr.check_integrity();
+}
+
 TEST_F(BddAlgorithmsTest, ExistsOfVariableNotInSupport) {
   const Bdd f = v(0) & v(1);
   const std::vector<std::uint32_t> q{5};

@@ -27,11 +27,18 @@
 // walks kept here, across GC index reuse, variable-block resets and
 // reordering, and counts allocations through a replaced operator new:
 // a warm traversal allocates nothing beyond its own result.
+//
+// Last, the computed table's sizing: it grows with the node store up to
+// its cap and keeps its entries when it does, keeps its size through GC,
+// returns to its start size on every variable reset, and no result
+// depends on its size — including a conjunction that grows it while the
+// root's probe is pending.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <new>
@@ -1195,6 +1202,219 @@ TEST(TableLayoutTest, RejectsInvalidLayoutsAndTables) {
   EXPECT_THROW((void)mgr.bdd_of_table(table, layout), std::invalid_argument);
   table[0] = 0x6666666666666666ull;
   EXPECT_TRUE(mgr.bdd_of_table(table, layout) == (mgr.var(3) ^ mgr.var(1)));
+}
+
+
+// ---------------------------------------------------------------------------
+// Computed-table sizing: the table starts at 2^12 entries, doubles while the
+// node store outgrows it, never passes the constructor's cap, keeps its
+// size through GC and returns to the start size on reset_variables.  Being
+// a cache, its size must never show in a result.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kCacheStartEntries = std::size_t{1} << 12;
+
+std::size_t cache_entries(const BddManager& mgr) {
+  return mgr.stats().cache_entries;
+}
+
+/// Keep building random functions over the manager's variables until the
+/// node store has created `target` nodes in total.
+void build_until(BddManager& mgr, std::mt19937& rng, std::vector<Bdd>& held,
+                 std::uint64_t target) {
+  while (mgr.stats().nodes_created < target) {
+    const Bdd f = random_function(mgr, rng, mgr.num_vars(), 6);
+    held.push_back(held.empty() ? f : (f ^ held[rng() % held.size()]));
+  }
+}
+
+TEST(BddCacheSizingTest, GrowsWithTheNodeStoreUpToTheCapAndResetsToStart) {
+  for (const std::uint32_t cap_log2 : {10u, 18u}) {
+    SCOPED_TRACE(cap_log2);
+    const std::size_t cap = std::size_t{1} << cap_log2;
+    const std::size_t start = std::min(kCacheStartEntries, cap);
+    BddManager mgr{20, cap_log2};
+    std::mt19937 rng{cap_log2};
+    EXPECT_EQ(cache_entries(mgr), start);
+
+    // No node is freed before the first GC, so the node store holds the
+    // terminal plus every node created: the table is that count rounded
+    // up to a power of two, clamped to [start, cap].
+    std::vector<Bdd> held;
+    std::size_t last = cache_entries(mgr);
+    while (mgr.stats().nodes_created < cap + cap / 2) {
+      build_until(mgr, rng, held, mgr.stats().nodes_created + 1);
+      const std::size_t store = 1 + mgr.stats().nodes_created;
+      const std::size_t entries = cache_entries(mgr);
+      ASSERT_EQ(entries, std::min(cap, std::max(start, std::bit_ceil(store))))
+          << "node store " << store;
+      ASSERT_GE(entries, last);
+      last = entries;
+    }
+    EXPECT_EQ(last, cap);
+
+    // GC empties the table but keeps its size.
+    held.resize(held.size() / 2);
+    mgr.garbage_collect();
+    EXPECT_EQ(cache_entries(mgr), cap);
+    build_until(mgr, rng, held, mgr.stats().nodes_created + 4096);
+    EXPECT_EQ(cache_entries(mgr), cap);
+
+    // A pool slot's lifecycle: every build regrows the table past the
+    // start size (when the cap allows), every reset returns it there.
+    for (int cycle = 0; cycle < 50; ++cycle) {
+      held.clear();
+      ASSERT_TRUE(mgr.reset_variables());
+      ASSERT_EQ(cache_entries(mgr), start) << "cycle " << cycle;
+      (void)mgr.add_vars(20);
+      const std::uint64_t created = mgr.stats().nodes_created;
+      build_until(mgr, rng, held, created + 3 * start);
+      const std::size_t store = 1 + mgr.stats().nodes_created - created;
+      ASSERT_EQ(cache_entries(mgr),
+                std::min(cap, std::max(start, std::bit_ceil(store))))
+          << "cycle " << cycle;
+      ASSERT_GT(cache_entries(mgr), std::min(start, cap / 2));
+    }
+  }
+}
+
+TEST(BddCacheSizingTest, GrowthKeepsEveryEntry) {
+  BddManager mgr{8};
+  std::mt19937 rng{404};
+  std::vector<std::pair<Bdd, Bdd>> pairs;
+  for (int i = 0; i < 24; ++i) {
+    pairs.emplace_back(random_function(mgr, rng, 8, 3),
+                       random_function(mgr, rng, 8, 3));
+  }
+  const auto op = static_cast<std::size_t>(BddOp::And);
+  // Every conjunction that is a root hit now must stay one once the
+  // table has doubled.
+  const auto root_hits = [&] {
+    std::size_t hits = 0;
+    for (const auto& [f, g] : pairs) {
+      const std::uint64_t lookups_before = mgr.stats().op_lookups[op];
+      const std::uint64_t hits_before = mgr.stats().op_hits[op];
+      (void)mgr.bdd_and(f, g);
+      hits += mgr.stats().op_lookups[op] == lookups_before + 1 &&
+              mgr.stats().op_hits[op] == hits_before + 1;
+    }
+    return hits;
+  };
+  for (const auto& [f, g] : pairs) {
+    (void)mgr.bdd_and(f, g);
+  }
+  const std::size_t hits = root_hits();
+  EXPECT_GT(hits, pairs.size() / 2);
+  ASSERT_EQ(cache_entries(mgr), kCacheStartEntries);
+
+  // Projection nodes of fresh variables probe no cache: they only grow
+  // the node store, and with it the table.
+  const std::uint32_t first = mgr.add_vars(kCacheStartEntries);
+  for (std::uint32_t v = first; v < mgr.num_vars(); ++v) {
+    (void)mgr.var(v);
+  }
+  ASSERT_EQ(cache_entries(mgr), 2 * kCacheStartEntries);
+  EXPECT_EQ(root_hits(), hits);
+}
+
+/// Every result of a mixed kernel workload over 24 variables, serialized,
+/// plus what the workload saw of the table's growth.
+struct CacheWorkloadRun {
+  std::vector<SerializedBdd> results;
+  std::size_t growing_ands = 0;  ///< bdd_and calls that grew the table
+  std::size_t root_hits = 0;     ///< ... whose repeat was one root hit
+  std::set<std::size_t> sizes;   ///< table sizes seen between calls
+};
+
+CacheWorkloadRun run_cache_workload(BddManager& mgr) {
+  constexpr std::uint32_t kVars = 24;
+  std::mt19937 rng{2311};
+  CacheWorkloadRun run;
+  const auto and_probes = [&mgr] {
+    const BddStats& stats = mgr.stats();
+    const auto op = static_cast<std::size_t>(BddOp::And);
+    return std::pair{stats.op_lookups[op], stats.op_hits[op]};
+  };
+  // Every bdd_and goes through here: one that grows the table does so
+  // while the root's probe is pending, and its insert must land where a
+  // probe under the new size looks, so the repeat hits at the root.
+  const auto conjoin = [&](const Bdd& f, const Bdd& g) {
+    const std::size_t before = cache_entries(mgr);
+    Bdd result = mgr.bdd_and(f, g);
+    run.sizes.insert(cache_entries(mgr));
+    if (cache_entries(mgr) != before) {
+      ++run.growing_ands;
+      const auto [lookups, hits] = and_probes();
+      EXPECT_TRUE(mgr.bdd_and(f, g) == result);
+      const auto [lookups_after, hits_after] = and_probes();
+      run.root_hits += lookups_after == lookups + 1 && hits_after == hits + 1;
+    }
+    return result;
+  };
+  // NOT of OR_{i<12} (x_i & x_{i+12}): about 2^13 nodes in this order,
+  // each conjunction adding as many nodes as the store already holds, so
+  // some conjunction crosses the start size.
+  Bdd chain = mgr.one();
+  for (std::uint32_t i = 0; i < kVars / 2; ++i) {
+    chain = conjoin(chain, !(mgr.var(i) & mgr.var(i + kVars / 2)));
+  }
+  run.results.push_back(mgr.serialize_bdd(chain));
+  std::vector<Bdd> pool;
+  for (int i = 0; i < 24; ++i) {
+    pool.push_back(random_function(mgr, rng, kVars, 4));
+  }
+  for (int round = 0; round < 30; ++round) {
+    const Bdd& a = pool[rng() % pool.size()];
+    const Bdd& b = pool[rng() % pool.size()];
+    const Bdd& c = pool[rng() % pool.size()];
+    const Bdd conj = conjoin(a, b);
+    const Bdd sum = mgr.bdd_xor(conj, c);
+    const Bdd choice = mgr.ite(a, sum, c);
+    const auto first = static_cast<std::uint32_t>(rng() % (kVars - 2));
+    const std::vector<std::uint32_t> quantified = {first, first + 2};
+    const Bdd projected = mgr.exists(choice, quantified);
+    std::vector<Bdd> substitution;
+    for (std::uint32_t v = 0; v < kVars; ++v) {
+      substitution.push_back(mgr.var(v));
+    }
+    substitution[rng() % kVars] = !mgr.var(rng() % kVars);
+    substitution[rng() % kVars] =
+        mgr.bdd_or(mgr.var(rng() % kVars), mgr.var(rng() % kVars));
+    const Bdd composed = mgr.compose(projected, substitution);
+    const Bdd cof = mgr.cofactor(composed, rng() % kVars, rng() % 2 == 0);
+    // A wide interval (BDD recursion) and one narrowed to at most 14
+    // variables (the truth-table path).
+    const Bdd upper = a | c;
+    const Bdd wide = mgr.isop_function(conj, upper);
+    const std::vector<std::uint32_t> ten = {0, 2, 5, 8, 9, 13, 15, 17, 20, 23};
+    const Bdd narrow =
+        mgr.isop_function(mgr.exists(conj, ten), mgr.exists(upper, ten));
+    for (const Bdd* f :
+         {&conj, &sum, &choice, &projected, &composed, &cof, &wide, &narrow}) {
+      run.results.push_back(mgr.serialize_bdd(*f));
+    }
+    if (round % 10 == 9) {
+      mgr.garbage_collect();
+    }
+  }
+  return run;
+}
+
+TEST(BddCacheSizingTest, ResultsDoNotDependOnTheTableSize) {
+  BddManager fixed{24, 12};  // capped at the start size: never grows
+  BddManager grown{24, 18};
+  const CacheWorkloadRun small = run_cache_workload(fixed);
+  const CacheWorkloadRun large = run_cache_workload(grown);
+  EXPECT_EQ(small.sizes, std::set<std::size_t>{kCacheStartEntries});
+  EXPECT_EQ(small.growing_ands, 0u);
+  EXPECT_GT(large.sizes.size(), 2u) << "the workload must grow the table";
+  ASSERT_GE(large.growing_ands, 1u)
+      << "no single bdd_and grew the table mid-recursion";
+  EXPECT_EQ(large.root_hits, large.growing_ands);
+  ASSERT_EQ(small.results.size(), large.results.size());
+  for (std::size_t i = 0; i < small.results.size(); ++i) {
+    ASSERT_TRUE(small.results[i] == large.results[i]) << "result " << i;
+  }
 }
 
 }  // namespace
