@@ -1009,9 +1009,13 @@ BooleanRelation compact_relation(BddManager& mgr, std::uint32_t n,
 /// each run through one search node's relation work — the MISF
 /// candidate, a quick solve and the candidate's conflict inputs — cold
 /// (computed table emptied before every round), on the relation tables
-/// (a fresh load included) and on BDDs.  Every relation is also cross-
-/// checked — both paths must return the same edges — and the mismatches
-/// are returned.
+/// (a fresh load included) and on BDDs.  A second row quick-solves both
+/// halves of one split per output of each relation from its held table
+/// (RelationTable::quick_solve_split), without and with the relation's
+/// own quick solution to start from: the per-child work of a search
+/// expansion.  Every relation and every half is also cross-checked —
+/// each path must return the BDD path's edges — and the mismatches are
+/// returned.
 std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
   constexpr std::uint32_t kWidths[] = {8, 10, 12, 14, 16, 18, 20};
   constexpr std::size_t kPool = 4;
@@ -1046,6 +1050,14 @@ std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
   struct Rung {
     double table_ns = 0.0;
     double bdd_ns = 0.0;
+    double child_ns = 0.0;        ///< per half, from the table alone
+    double child_reuse_ns = 0.0;  ///< per half, from the parent's solution
+  };
+  /// One split of pool relation `rel`: input vertex x, output i.
+  struct Split {
+    std::size_t rel;
+    std::vector<bool> x;
+    std::size_t output;
   };
   const auto measure = [&](BddManager& mgr,
                            const std::vector<BooleanRelation>& pool) {
@@ -1073,10 +1085,81 @@ std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
                   }).ns;
     return rung;
   };
+  // The children: every relation held in its own table with its quick
+  // solution, and for each output the first splittable vertex from a
+  // per-output offset.
+  const auto measure_children = [&](BddManager& mgr,
+                                    const std::vector<BooleanRelation>& pool,
+                                    Rung& rung) {
+    std::vector<RelationTable> tables(pool.size());
+    std::vector<QuickSolution> parents;
+    std::vector<Split> splits;
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      const BooleanRelation& r = pool[k];
+      if (!tables[k].load(r)) {
+        std::fprintf(stderr, "relation ladder: a rung failed to load\n");
+        std::exit(1);
+      }
+      parents.push_back(
+          QuickSolution{tables[k].quick_solve(), mgr.stats().reorders});
+      const std::uint64_t vertices = std::uint64_t{1} << r.num_inputs();
+      for (std::size_t i = 0; i < r.num_outputs(); ++i) {
+        for (std::uint64_t step = 0; step < vertices; ++step) {
+          const std::uint64_t code = (step + 37 * i) % vertices;
+          std::vector<bool> x(mgr.num_vars(), false);
+          for (std::size_t j = 0; j < r.num_inputs(); ++j) {
+            x[r.inputs()[j]] = ((code >> j) & 1u) != 0;
+          }
+          if (tables[k].can_split(x, i)) {
+            splits.push_back(Split{k, std::move(x), i});
+            break;
+          }
+        }
+      }
+    }
+    for (const Split& split : splits) {
+      const auto halves = pool[split.rel].split(split.x, split.output);
+      for (const bool value : {false, true}) {
+        RelationTable& table = tables[split.rel];
+        const MultiFunction plain =
+            table.quick_solve_split(split.x, split.output, value);
+        const MultiFunction reused = table.quick_solve_split(
+            split.x, split.output, value, &parents[split.rel]);
+        const MultiFunction expected =
+            quick_solve_bdd(value ? halves.second : halves.first);
+        for (std::size_t i = 0; i < expected.outputs.size(); ++i) {
+          mismatches += plain.outputs[i] == expected.outputs[i] ? 0 : 1;
+          mismatches += reused.outputs[i] == expected.outputs[i] ? 0 : 1;
+        }
+      }
+    }
+    const auto children = [&](bool reuse) {
+      for (const Split& split : splits) {
+        for (const bool value : {false, true}) {
+          sink += tables[split.rel]
+                      .quick_solve_split(
+                          split.x, split.output, value,
+                          reuse ? &parents[split.rel] : nullptr)
+                      .outputs[0]
+                      .raw_edge();
+        }
+      }
+    };
+    rung.child_ns =
+        time_kernel_rounds(mgr, true, 2 * splits.size(), kRounds, [&] {
+          children(false);
+        }).ns;
+    rung.child_reuse_ns =
+        time_kernel_rounds(mgr, true, 2 * splits.size(), kRounds, [&] {
+          children(true);
+        }).ns;
+  };
   if (json != nullptr) {
     std::printf(
         "\nrelation-kernel ladder (%zu relations per family and width; one "
-        "node's MISF candidate + quick solve + conflict inputs, cold us/op):\n"
+        "node's MISF candidate + quick solve + conflict inputs, cold us/op;\n"
+        "then the quick solve of one split child from the parent's table, "
+        "without and with the parent's quick solution, cold us/child):\n"
         "          ---------- dense ----------   --------- compact ---------\n"
         "  width  shape   table     bdd   ratio     table     bdd   ratio\n",
         kPool);
@@ -1085,26 +1168,48 @@ std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
   for (const std::uint32_t width : kWidths) {
     const std::uint32_t m = std::min(8u, width / 2);
     const std::uint32_t n = width - m;
+    // Both families' pools, built the same way in any manager.
+    const auto build_pools = [&](BddManager& mgr,
+                                 std::vector<BooleanRelation>& dense,
+                                 std::vector<BooleanRelation>& compact) {
+      std::mt19937 rng{900 + width};
+      for (std::size_t i = 0; i < kPool; ++i) {
+        std::vector<std::uint32_t> inputs;
+        std::vector<std::uint32_t> outputs;
+        const RelationBenchmark shape{"ladder", n, m,
+                                      static_cast<std::uint32_t>(rng())};
+        dense.push_back(make_benchmark_relation(mgr, shape, inputs, outputs));
+        compact.push_back(compact_relation(mgr, n, m, rng));
+      }
+    };
     BddManager mgr{0};
-    std::mt19937 rng{900 + width};
     std::vector<BooleanRelation> dense;
     std::vector<BooleanRelation> compact;
-    for (std::size_t i = 0; i < kPool; ++i) {
-      std::vector<std::uint32_t> inputs;
-      std::vector<std::uint32_t> outputs;
-      const RelationBenchmark shape{"ladder", n, m,
-                                    static_cast<std::uint32_t>(rng())};
-      dense.push_back(make_benchmark_relation(mgr, shape, inputs, outputs));
-      compact.push_back(compact_relation(mgr, n, m, rng));
-    }
+    build_pools(mgr, dense, compact);
     Rung d = measure(mgr, dense);
     Rung c = measure(mgr, compact);
+    {
+      // The child rows get a manager of their own, so that their work
+      // cannot change the node rows' manager state.
+      BddManager child_mgr{0};
+      std::vector<BooleanRelation> child_dense;
+      std::vector<BooleanRelation> child_compact;
+      build_pools(child_mgr, child_dense, child_compact);
+      measure_children(child_mgr, child_dense, d);
+      measure_children(child_mgr, child_compact, c);
+    }
     const std::string at =
         "relation_kernels.ladder." + std::to_string(width) + ".";
     d.table_ns = pass_median(at + "dense_table_ns", d.table_ns);
     d.bdd_ns = pass_median(at + "dense_bdd_ns", d.bdd_ns);
     c.table_ns = pass_median(at + "compact_table_ns", c.table_ns);
     c.bdd_ns = pass_median(at + "compact_bdd_ns", c.bdd_ns);
+    d.child_ns = pass_median(at + "dense_child_ns", d.child_ns);
+    d.child_reuse_ns =
+        pass_median(at + "dense_child_reuse_ns", d.child_reuse_ns);
+    c.child_ns = pass_median(at + "compact_child_ns", c.child_ns);
+    c.child_reuse_ns =
+        pass_median(at + "compact_child_reuse_ns", c.child_reuse_ns);
     if (json == nullptr) {
       continue;
     }
@@ -1112,6 +1217,10 @@ std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
                 width, n, m, d.table_ns / 1e3, d.bdd_ns / 1e3,
                 d.bdd_ns / d.table_ns, c.table_ns / 1e3, c.bdd_ns / 1e3,
                 c.bdd_ns / c.table_ns);
+    std::printf("         child %8.1f %8.1f %6.2fx  %8.1f %8.1f %6.2fx\n",
+                d.child_ns / 1e3, d.child_reuse_ns / 1e3,
+                d.child_ns / d.child_reuse_ns, c.child_ns / 1e3,
+                c.child_reuse_ns / 1e3, c.child_ns / c.child_reuse_ns);
     json->begin_element();
     json->field_int("width", width);
     json->field_int("inputs", n);
@@ -1120,6 +1229,10 @@ std::uint64_t report_relation_ladder(bench::JsonWriter* json) {
     json->field_num("dense_bdd_ns", d.bdd_ns);
     json->field_num("compact_table_ns", c.table_ns);
     json->field_num("compact_bdd_ns", c.bdd_ns);
+    json->field_num("dense_child_ns", d.child_ns);
+    json->field_num("dense_child_reuse_ns", d.child_reuse_ns);
+    json->field_num("compact_child_ns", c.child_ns);
+    json->field_num("compact_child_reuse_ns", c.child_reuse_ns);
     json->end_element();
   }
   if (json != nullptr) {

@@ -17,7 +17,8 @@
 /// in or out.  A subproblem carries no cross-solve memo state: the engines
 /// probe and publish the GlobalMemo at the search root only (search.hpp),
 /// so interior nodes are plain (relation, depth) pairs plus the
-/// manager-local cache chain and the best-first pricing.
+/// manager-local cache chain, the best-first pricing and the node's own
+/// quick solution.
 
 #include <cstddef>
 #include <deque>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "relation/relation.hpp"
+#include "relation/relation_table.hpp"
 
 namespace brel {
 
@@ -65,6 +67,12 @@ struct Subproblem {
   /// original monolithic loop.
   std::optional<MultiFunction> candidate;
   double candidate_cost = 0.0;
+
+  /// This node's quick solution (Sec. 7.6), computed when it was
+  /// generated; its children's quick solves start from it
+  /// (RelationTable::quick_solve_split).  Empty on a subproblem received
+  /// from another worker.
+  std::optional<QuickSolution> quick;
 
   Subproblem(BooleanRelation relation, std::size_t d)
       : rel(std::move(relation)), depth(d) {}

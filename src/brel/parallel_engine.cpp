@@ -27,8 +27,10 @@ namespace {
 /// A subproblem in flight between two managers: plain data, no handles,
 /// safe to hand across threads (see bdd_transfer.hpp).  The push-time
 /// best-first candidate does not travel — the thief re-seeds the
-/// priority.  Nothing memo-related travels either: the cross-solve memo
-/// is probed and published by the coordinator, at the root only.
+/// priority — and neither does the quick solution, so the children of a
+/// stolen node quick-solve from the table alone.  Nothing memo-related
+/// travels either: the cross-solve memo is probed and published by the
+/// coordinator, at the root only.
 struct InjectedSubproblem {
   SerializedBdd chi;
   std::size_t depth = 0;
@@ -260,6 +262,7 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
     ++ctx.stats.quick_solutions;
     ++ctx.stats.solutions_seen;
     const double quick_cost = ctx.cost(quick);
+    root_item.quick = QuickSolution{quick, mgr.stats().reorders};
     ctx.best_cost = quick_cost;
     ctx.best = std::move(quick);
     seed_priority(ctx, root_item, *frontier);

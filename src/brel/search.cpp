@@ -50,31 +50,35 @@ double sanitize_priority(double cost) noexcept {
 
 /// quick_solve of `child`, the half of parent's split at `choice` that
 /// keeps y_i(x) = value.  While ctx.table still holds the parent (it
-/// does unless a best-first push priced the first half), the half's
-/// table is derived from it instead of loaded.
-MultiFunction quick_solve_child(SearchContext& ctx,
-                                const BooleanRelation& parent,
+/// does: expand_subproblem quick-solves both halves before pricing
+/// either), the half's table is derived from the parent's, and its chain
+/// starts from the parent's quick solution when the parent has one.
+MultiFunction quick_solve_child(SearchContext& ctx, const Subproblem& parent,
                                 const BooleanRelation& child,
                                 const SplitChoice& choice, bool value) {
-  if (ctx.options.minimizer.has_table_path() && ctx.table.holds(parent)) {
-    return ctx.table.quick_solve_split(choice.vertex, choice.output, value);
+  if (ctx.options.minimizer.has_table_path() && ctx.table.holds(parent.rel)) {
+    return ctx.table.quick_solve_split(
+        choice.vertex, choice.output, value,
+        parent.quick.has_value() ? &*parent.quick : nullptr);
   }
   return quick_solve(child, ctx.options.minimizer, ctx.table);
 }
 
-/// Generate one child: symmetry pruning, subproblem-cache dedup,
-/// QuickSolver safety net, optional best-first priority seeding, frontier
-/// push.  `parent` supplies the symmetry depth gate (exactly like the
-/// original loop) and the ancestor chain for solution memoization;
-/// the child is the half of its split at `choice` with y_i(x) = value.
-void enqueue_child(SearchContext& ctx, BooleanRelation&& child,
-                   const Subproblem& parent, const SplitChoice& choice,
-                   bool value, Frontier& frontier) {
+/// Generate one child: symmetry pruning, subproblem-cache dedup and the
+/// QuickSolver safety net.  `parent` supplies the symmetry depth gate
+/// (exactly like the original loop), the ancestor chain for solution
+/// memoization and the quick solution the child's starts from; the child
+/// is the half of its split at `choice` with y_i(x) = value.  Returns
+/// nothing when a cache pruned the child.
+std::optional<Subproblem> make_child(SearchContext& ctx,
+                                     BooleanRelation&& child,
+                                     const Subproblem& parent,
+                                     const SplitChoice& choice, bool value) {
   if (ctx.symmetries.has_value() &&
       parent.depth < ctx.options.symmetry_depth &&
       ctx.symmetries->seen_before_or_insert(child.characteristic())) {
     ++ctx.stats.pruned_by_symmetry;
-    return;
+    return std::nullopt;
   }
   // Dedup re-encounters (only possible across solves sharing the cache —
   // within one tree Property 5.4 forbids them; see subproblem_cache.hpp).
@@ -89,7 +93,7 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child,
       ++ctx.stats.pruned_by_cache;
       ++ctx.stats.solutions_seen;
       ctx.offer_solution(prior->best, prior->cost);
-      return;
+      return std::nullopt;
     }
   }
 
@@ -101,12 +105,17 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child,
   // Sec. 7.6: every generated subrelation is quick-solved immediately, so
   // a solution from this branch survives even if the child is never
   // popped (frontier overflow, budget, timeout).
-  MultiFunction q = quick_solve_child(ctx, parent.rel, sub.rel, choice, value);
+  MultiFunction q = quick_solve_child(ctx, parent, sub.rel, choice, value);
   ++ctx.stats.quick_solutions;
   ++ctx.stats.solutions_seen;
   const double qc = ctx.cost(q);
+  sub.quick = QuickSolution{q, ctx.mgr.stats().reorders};
   ctx.record_solution(sub, std::move(q), qc);
+  return sub;
+}
 
+/// Price a generated child for best-first frontiers and push it.
+void push_child(SearchContext& ctx, Subproblem&& sub, Frontier& frontier) {
   seed_priority(ctx, sub, frontier);
   if (!frontier.try_push(std::move(sub))) {
     // The dropped child's subtree is lost; only the QuickSolver result
@@ -318,11 +327,20 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
   }
 
   // Lines 11-12: both halves enter the frontier through the caches and
-  // the QuickSolver safety net.
+  // the QuickSolver safety net.  Both are quick-solved before either is
+  // priced, while ctx.table still holds this node: a best-first pricing
+  // loads the child's table.
   ++ctx.stats.splits;
   auto [r0, r1] = rel.split(choice->vertex, choice->output);
-  enqueue_child(ctx, std::move(r0), item, *choice, false, frontier);
-  enqueue_child(ctx, std::move(r1), item, *choice, true, frontier);
+  std::optional<Subproblem> first =
+      make_child(ctx, std::move(r0), item, *choice, false);
+  std::optional<Subproblem> second =
+      make_child(ctx, std::move(r1), item, *choice, true);
+  for (std::optional<Subproblem>* child : {&first, &second}) {
+    if (child->has_value()) {
+      push_child(ctx, std::move(**child), frontier);
+    }
+  }
 }
 
 SearchEngine::SearchEngine(const BooleanRelation& root,
@@ -452,6 +470,7 @@ SolveResult SearchEngine::run() {
   if (ctx_.cache != nullptr) {
     ctx_.cache->improve(root_item.ancestors, quick, quick_cost);
   }
+  root_item.quick = QuickSolution{quick, ctx_.mgr.stats().reorders};
   ctx_.best_cost = quick_cost;
   ctx_.best = std::move(quick);
 

@@ -179,8 +179,8 @@ void RelationTable::project(const std::uint64_t* t, std::uint32_t q,
   replicate_inputs(upper);
 }
 
-Bdd RelationTable::minimize_interval(std::uint64_t* lower,
-                                     std::uint64_t* upper, std::uint64_t* f) {
+void RelationTable::minimize_table(std::uint64_t* lower, std::uint64_t* upper,
+                                   std::uint64_t* f) {
   // eliminate_nonessential_vars (isf_minimizer.cpp) on tables: the
   // candidates are the upper bound's support, fixed up front, in
   // ascending variable id; each that passes the essential-variable test
@@ -198,6 +198,11 @@ Bdd RelationTable::minimize_interval(std::uint64_t* lower,
     }
   }
   tt::isop_words(lower, upper, f, n_, f + input_words());
+}
+
+Bdd RelationTable::minimize_interval(std::uint64_t* lower,
+                                     std::uint64_t* upper, std::uint64_t* f) {
+  minimize_table(lower, upper, f);
   return mgr_->bdd_of_table(f, input_vars());
 }
 
@@ -276,33 +281,105 @@ MultiFunction RelationTable::quick_solve() {
   return solve_work();
 }
 
-MultiFunction RelationTable::quick_solve_split(const std::vector<bool>& x,
-                                               std::size_t i, bool value) {
+void RelationTable::copy_image(const std::uint64_t* t, std::uint64_t x,
+                               std::uint64_t* image) const {
+  if (m_ < 6) {
+    const std::uint64_t bit = x << m_;
+    image[0] = (t[bit >> 6] >> (bit & 63)) & image_field(m_);
+    return;
+  }
+  const std::uint64_t* const points = t + (x << (m_ - 6));
+  std::copy(points, points + table_words(m_), image);
+}
+
+void RelationTable::load_split(std::uint64_t x, std::uint32_t q, bool value) {
   work_ = chi_;
-  const std::uint64_t vertex = vertex_index(x);
-  const std::uint32_t q = output_pos_.at(i);
-  for (std::uint64_t copy = vertex; copy < image_slots();
+  for (std::uint64_t copy = x; copy < image_slots();
        copy += std::uint64_t{1} << n_) {
     restrict_image(work_.data(), copy, q, value);
   }
-  const Image image = image_of(work_.data(), vertex);
-  if ((image.zero | image.one) == 0) {
+}
+
+MultiFunction RelationTable::quick_solve_split(
+    const std::vector<bool>& x, std::size_t i, bool value,
+    const QuickSolution* parent) {
+  const std::uint64_t vertex = vertex_index(x);
+  const std::uint32_t split_pos = output_pos_.at(i);
+  const std::size_t image_words = table_words(m_);
+  images_.resize(2 * image_words);
+  std::uint64_t* const parent_image = images_.data();
+  std::uint64_t* const child_image = parent_image + image_words;
+  copy_image(chi_.data(), vertex, parent_image);
+  copy_image(chi_.data(), vertex, child_image);
+  restrict_image(child_image, 0, split_pos, value);
+  const Image split_image = image_of(child_image, 0);
+  if ((split_image.zero | split_image.one) == 0) {
     throw std::invalid_argument(
         "quick_solve_split: the split empties the image of x");
   }
-  return solve_work();
+  if (parent == nullptr || parent->reorders != mgr_->stats().reorders) {
+    load_split(vertex, split_pos, value);
+    return solve_work();
+  }
+  // The half's table is the parent's without some points of x.  While
+  // the half's chain has chosen the parent's F_1..F_{k-1}, its working
+  // table is the parent's except at x, so step k's interval can differ
+  // only in its bit at x: where that bit agrees, so do the interval and
+  // F_k.  The walk therefore follows x's two images alone and brings
+  // work_ up to a step only where the bits differ.
+  const std::size_t words = input_words();
+  std::uint64_t* const f = scratch_.data();
+  std::uint64_t* const lower = f + 4 * words;
+  std::uint64_t* const upper = lower + words;
+  const auto projection_bits = [](const Image& image, std::uint32_t q) {
+    const std::uint32_t one = image.one >> q & 1u;
+    const std::uint32_t zero = image.zero >> q & 1u;
+    return one << 1 | (one & ~zero);  // upper, lower
+  };
+  MultiFunction result;
+  result.outputs.reserve(m_);
+  bool loaded = false;     // work_ holds the half's table
+  std::size_t applied = 0;  // outputs work_ is restricted by
+  for (std::size_t k = 0; k < m_; ++k) {
+    const std::uint32_t q = output_pos_[k];
+    const Bdd& parent_f = parent->function.outputs.at(k);
+    if (projection_bits(image_of(parent_image, 0), q) !=
+        projection_bits(image_of(child_image, 0), q)) {
+      if (!loaded) {
+        load_split(vertex, split_pos, value);
+        loaded = true;
+      }
+      for (; applied < k; ++applied) {
+        (void)mgr_->table_of(result.outputs[applied], input_vars(), f);
+        restrict_output(work_.data(), output_pos_[applied], f);
+      }
+      project(work_.data(), q, lower, upper);
+      minimize_table(lower, upper, f);
+      (void)mgr_->table_of(parent_f, input_vars(), lower);
+      if (!std::equal(f, f + words, lower)) {
+        // A different F_k: the rest of the chain is the half's own.
+        result.outputs.push_back(mgr_->bdd_of_table(f, input_vars()));
+        restrict_output(work_.data(), q, f);
+        return solve_work(std::move(result));
+      }
+    }
+    result.outputs.push_back(parent_f);
+    const bool fx = parent_f.eval(x);
+    restrict_image(parent_image, 0, q, fx);
+    restrict_image(child_image, 0, q, fx);
+  }
+  return result;
 }
 
-MultiFunction RelationTable::solve_work() {
+MultiFunction RelationTable::solve_work(MultiFunction result) {
   // Fig. 4 on the table: minimize the outputs in index order, each time
   // constraining the relation to the chosen function, R ∧ (y_i ≡ F_i).
   const std::size_t words = input_words();
   std::uint64_t* const f = scratch_.data();
   std::uint64_t* const lower = f + 4 * words;
   std::uint64_t* const upper = lower + words;
-  MultiFunction result;
   result.outputs.reserve(m_);
-  for (std::size_t i = 0; i < m_; ++i) {
+  for (std::size_t i = result.outputs.size(); i < m_; ++i) {
     project(work_.data(), output_pos_[i], lower, upper);
     result.outputs.push_back(minimize_interval(lower, upper, f));
     restrict_output(work_.data(), output_pos_[i], f);

@@ -23,6 +23,13 @@
 
 namespace brel {
 
+/// A relation's quick solution (Fig. 4) as the search keeps it: the
+/// functions and BddStats::reorders when they were computed.
+struct QuickSolution {
+  MultiFunction function;
+  std::uint64_t reorders = 0;
+};
+
 class RelationTable {
  public:
   /// Widest relation, |X| + |Y|, that loads (chosen from bench_bdd_ops's
@@ -56,8 +63,17 @@ class RelationTable {
   /// relation without its points (x, y_i = !value), so value = false is
   /// split's first half.  Derived from the loaded table, which stays
   /// loaded.  Requires can_split(x, i).
-  [[nodiscard]] MultiFunction quick_solve_split(const std::vector<bool>& x,
-                                                std::size_t i, bool value);
+  ///
+  /// `parent`, when given, is the loaded relation's quick solution.
+  /// Unless the manager has sifted since it was computed (the ISOP
+  /// follows the level order), the half's Fig. 4 chain is walked against
+  /// it: a step whose projection agrees with the parent's at x keeps the
+  /// parent's function without touching the table, and the parent's
+  /// functions come back whole when every step agrees (DESIGN.md
+  /// "Relation tables" has the argument).  Same edges either way.
+  [[nodiscard]] MultiFunction quick_solve_split(
+      const std::vector<bool>& x, std::size_t i, bool value,
+      const QuickSolution* parent = nullptr);
 
   /// ∃Y rel.incompatibilities(f): the input vertices x whose image lacks
   /// f(x).  nullopt when some f_i depends on a variable outside X.
@@ -81,8 +97,11 @@ class RelationTable {
   /// whose image allows y = 1, lower those whose image allows only that.
   void project(const std::uint64_t* t, std::uint32_t q, std::uint64_t* lower,
                std::uint64_t* upper) const;
-  /// Support reduction, ISOP and rebuild of the interval [lower, upper]
-  /// (both reduced in place); the result's table goes to f.
+  /// Support reduction and ISOP of the interval [lower, upper] (both
+  /// reduced in place); the result's table goes to f.
+  void minimize_table(std::uint64_t* lower, std::uint64_t* upper,
+                      std::uint64_t* f);
+  /// minimize_table, then the rebuild of f's BDD.
   [[nodiscard]] Bdd minimize_interval(std::uint64_t* lower,
                                       std::uint64_t* upper, std::uint64_t* f);
   /// Keep only the points of the image of x in table t whose output at
@@ -92,8 +111,17 @@ class RelationTable {
   /// restrict_image at every input vertex x with value f(x): t ∧ (y_q ≡ f).
   void restrict_output(std::uint64_t* t, std::uint32_t q,
                        const std::uint64_t* f) const;
+  /// Copy the image of input vertex x in table t to `image` (a one-image
+  /// table: the image of vertex 0).
+  void copy_image(const std::uint64_t* t, std::uint64_t x,
+                  std::uint64_t* image) const;
+  /// work_ := the loaded table without the points of input vertex x
+  /// (every copy of it) whose output at position q differs from value.
+  void load_split(std::uint64_t x, std::uint32_t q, bool value);
   /// Fig. 4 on work_: minimize output by output, restricting work_.
-  [[nodiscard]] MultiFunction solve_work();
+  /// `result` holds the functions already chosen for the outputs before
+  /// index result.outputs.size(), which work_ is restricted by.
+  [[nodiscard]] MultiFunction solve_work(MultiFunction result = {});
   /// The input vertex of a full assignment, as a table index.
   [[nodiscard]] std::uint64_t vertex_index(const std::vector<bool>& x) const;
   /// The input part of the layout: variable of each input table position.
@@ -124,6 +152,9 @@ class RelationTable {
   std::vector<std::uint8_t> by_var_id_;
   std::vector<std::uint64_t> chi_;   ///< χ's table
   std::vector<std::uint64_t> work_;  ///< quick_solve's constrained copy
+  /// quick_solve_split's walk: the split vertex's image in the parent's
+  /// chain, then in the half's.
+  std::vector<std::uint64_t> images_;
   /// Input tables: result and ISOP scratch (4), then a [lower, upper]
   /// pair per output position (quick_solve uses the first pair only;
   /// conflict_inputs puts the candidate's per-output tables there).

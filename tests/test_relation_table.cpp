@@ -2,13 +2,17 @@
 // every shape |X| = 1..10, |Y| = 1..8 — sub-word images (|Y| < 6) and
 // one-word input tables (|X| < 6) included — the table path returns the
 // same edges as the BDD path for every MISF output, quick_solve and the
-// conflict inputs, and the same Split guard at every vertex.  A relation
-// whose order interleaves outputs with inputs falls back to BDDs; tables
-// stay right across garbage collection and reset_variables; and a 4-worker
-// search on 10 x 8 relations reproduces the serial one bit for bit.
+// conflict inputs, and the same Split guard at every vertex.  A split
+// half's quick solve started from its parent's quick solution returns the
+// same edges as a fresh one, and a sift in between refuses the start.  A
+// relation whose order interleaves outputs with inputs falls back to
+// BDDs; tables stay right across garbage collection and reset_variables;
+// and a 4-worker search on 10 x 8 relations reproduces the serial one bit
+// for bit.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -154,6 +158,137 @@ TEST(RelationTableTest, EveryShapeMatchesTheBddPath) {
       }
     }
   }
+}
+
+/// The first step of r's Fig. 4 chain along `chain` (r's quick solution)
+/// whose projection at x differs from the same step on `child` constrained
+/// by the same functions: the step where a child's chain can leave its
+/// parent's.  nullopt when every step agrees.  BDDs only.
+std::optional<std::size_t> first_differing_step(const BooleanRelation& r,
+                                                const BooleanRelation& child,
+                                                const MultiFunction& chain,
+                                                const std::vector<bool>& x) {
+  BddManager& mgr = r.manager();
+  BooleanRelation parent_k = r;
+  BooleanRelation child_k = child;
+  for (std::size_t k = 0; k < r.num_outputs(); ++k) {
+    const Isf p = parent_k.project_output(k);
+    const Isf c = child_k.project_output(k);
+    if (p.max().eval(x) != c.max().eval(x) ||
+        p.on().eval(x) != c.on().eval(x)) {
+      return k;
+    }
+    const Bdd pinned = mgr.var(r.outputs()[k]).iff(chain.outputs[k]);
+    parent_k = parent_k.constrain_with(pinned);
+    child_k = child_k.constrain_with(pinned);
+  }
+  return std::nullopt;
+}
+
+bool same_edges(const MultiFunction& a, const MultiFunction& b) {
+  return a.outputs == b.outputs;
+}
+
+TEST(RelationTableTest, ChildQuickSolveReusesTheParentChain) {
+  // Both halves of several splits per relation, on every output, against
+  // a fresh BDD quick solve of the half; the BDD walk classifies how the
+  // half's chain relates to its parent's.
+  std::size_t kept_whole = 0;      // the parent's functions came back
+  std::size_t new_at_step = 0;     // a new function at the differing step
+  std::size_t kept_at_step = 0;    // a differing step kept the parent's
+  std::size_t step_after_first = 0;  // the differing step is not output 0
+  for (std::size_t n = 1; n <= 10; ++n) {
+    for (std::size_t m = 1; m <= 8; ++m) {
+      for (const bool suite : {true, false}) {
+        BddManager mgr{0};
+        const BooleanRelation r =
+            suite ? suite_relation(mgr, n, m,
+                                   static_cast<std::uint32_t>(7 * n + m))
+                  : random_relation(mgr, n, m,
+                                    static_cast<std::uint32_t>(n + 31 * m));
+        const std::string what = (suite ? "suite " : "random ") +
+                                 std::to_string(n) + "x" + std::to_string(m);
+        RelationTable table;
+        ASSERT_TRUE(table.load(r)) << what;
+        const QuickSolution parent{table.quick_solve(), mgr.stats().reorders};
+        const std::uint64_t vertices = std::uint64_t{1} << n;
+        // One split per output: the first splittable vertex from a
+        // per-output offset.
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::uint64_t step = 0; step < vertices; ++step) {
+            const std::uint64_t code = (step + 37 * i) % vertices;
+            const std::vector<bool> x = vertex(r, code);
+            if (!table.can_split(x, i)) {
+              continue;
+            }
+            const auto [first, second] = r.split(x, i);
+            for (const bool value : {false, true}) {
+              const BooleanRelation& half = value ? second : first;
+              const MultiFunction got =
+                  table.quick_solve_split(x, i, value, &parent);
+              const MultiFunction expected = quick_solve_bdd(half);
+              ASSERT_TRUE(same_edges(got, expected))
+                  << what << ": split at vertex " << code << " output " << i
+                  << " half " << value;
+              const std::optional<std::size_t> differs =
+                  first_differing_step(r, half, parent.function, x);
+              if (!differs.has_value()) {
+                EXPECT_TRUE(same_edges(got, parent.function)) << what;
+              } else if (got.outputs[*differs] ==
+                         parent.function.outputs[*differs]) {
+                ++kept_at_step;
+              } else {
+                ++new_at_step;
+              }
+              kept_whole += same_edges(got, parent.function) ? 1 : 0;
+              step_after_first += differs.value_or(0) > 0 ? 1 : 0;
+            }
+            EXPECT_TRUE(table.holds(r)) << what;
+            break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kept_whole, 0u);
+  EXPECT_GT(new_at_step, 0u);
+  EXPECT_GT(kept_at_step, 0u);
+  EXPECT_GT(step_after_first, 0u);
+}
+
+TEST(RelationTableTest, SiftAfterTheParentsQuickSolveRefusesReuse) {
+  // The parent's quick solution was computed under the order before a
+  // sift; a fresh chain follows the new order, so the walk must not start
+  // from the stale solution.
+  std::size_t stale = 0;  // sifts that changed the parent's quick solution
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    BddManager mgr{0};
+    const BooleanRelation r = seed % 2 == 0 ? suite_relation(mgr, 7, 5, seed)
+                                            : random_relation(mgr, 6, 3, seed);
+    RelationTable table;
+    ASSERT_TRUE(table.load(r));
+    const QuickSolution parent{table.quick_solve(), mgr.stats().reorders};
+    mgr.reorder();
+    if (!table.load(r)) {
+      continue;  // the sift moved an output above an input
+    }
+    stale += same_edges(parent.function, quick_solve_bdd(r)) ? 0 : 1;
+    for (std::uint64_t code = 0; code < (std::uint64_t{1} << 6); ++code) {
+      const std::vector<bool> x = vertex(r, code);
+      for (std::size_t i = 0; i < r.num_outputs(); ++i) {
+        if (!table.can_split(x, i)) {
+          continue;
+        }
+        const auto [first, second] = r.split(x, i);
+        for (const bool value : {false, true}) {
+          EXPECT_TRUE(same_edges(table.quick_solve_split(x, i, value, &parent),
+                                 quick_solve_bdd(value ? second : first)))
+              << "seed " << seed << " vertex " << code << " output " << i;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stale, 0u);
 }
 
 TEST(RelationTableTest, CanSplitReadsTheProjectionDefinition) {
